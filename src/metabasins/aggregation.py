@@ -70,7 +70,8 @@ def metastate_space(d: ValleyDecomposition, f: Filtration) -> MetastateSpace:
     for m, members in valley_of.items():
         for s in members:
             rep[s] = m
-    assert (rep >= 0).all(), "metastate valleys do not partition the states"
+    if (rep < 0).any():
+        raise ValueError("metastate valleys do not partition the states")
     return MetastateSpace(i, metastates, d.nonassigned, valley_of, gate_of,
                           valley_level, rep)
 
@@ -144,7 +145,8 @@ def asymptotic_jump_chain(l: Landscape, ms: MetastateSpace) -> JumpChainLimit:
                 if l.energy[m] >= l.energy[t]:
                     row[idx[int(ms.rep_of[t])]] += 1.0 / C
             total = row.sum()  # equals 1 - p*(m,m)
-            assert total > 0, "non-assigned state with no downhill move"
+            if total <= 0:
+                raise ValueError(f"non-assigned state {m} has no downhill move")
             phat[idx[m]] = row / total
     return JumpChainLimit(ms.metastates, phat)
 
@@ -207,7 +209,8 @@ def exact_valley_transition(model: TransitionModel, ms: MetastateSpace, m: int) 
     mlist = list(ms.valley_metastates)
     # exit distribution over non-assigned states (every boundary is non-assigned)
     exit_dist = exact_jump_distribution(model, ms, m)
-    assert all(t in ms.nonassigned for t in exit_dist)
+    if not ms.nonassigned.issuperset(exit_dist):
+        raise ValueError(f"valley {m} borders another valley; boundaries must be non-assigned")
     # absorption of the walk on the non-assigned set into the valleys
     A = -P[np.ix_(nlist, nlist)]
     np.fill_diagonal(A, off_diagonal_row_sums(P, nlist))
@@ -281,7 +284,7 @@ def transition_exponents(l: Landscape, ms: MetastateSpace,
                 continue
             D[(m, mp)] = float(table.energy[m, mp] - l.energy[gate])
             avoid = frozenset().union(*(v for t, v in valleys.items() if t != mp))
-            udh[(m, mp)] = uphill_downhill_path(l, gate, mp, avoid) is not None
+            udh[(m, mp)] = uphill_downhill_path(l, gate, mp, avoid, table) is not None
     boundary_exp = {
         (m, s): float(l.energy[s] - l.energy[ms.gate_of[m]])
         for m in mlist for s in outer_boundary(l, ms.valley_of[m])

@@ -68,8 +68,8 @@ def epsilon_bound(l: Landscape, x: int, y: int, z: int, beta: float,
                   model: TransitionModel | None = None) -> float:
     """Upper bound on P_x(tau_z < tau_y) when z's saddle is the higher one.
 
-    Passing the matching transition model additionally asserts that the exact
-    race probability is dominated by the bound.
+    Passing the matching transition model additionally checks that the exact
+    race probability is dominated by the bound, raising ValueError if not.
     """
     if table is None:
         table = saddle_table(l)
@@ -85,7 +85,8 @@ def epsilon_bound(l: Landscape, x: int, y: int, z: int, beta: float,
         from .chain import HittingQuery, hitting_probability
 
         exact = hitting_probability(model, HittingQuery(x, {z}, {y}))
-        assert exact <= value, (exact, value)
+        if exact > value:
+            raise ValueError(f"exact race probability {exact!r} exceeds the bound {value!r}")
     return value
 
 

@@ -234,14 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--landscape", help="landscape JSON file")
         sp.add_argument("--canonical", help="built-in landscape name (L6, L14, L14X)")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--format", default="json",
-                        choices=["json", "csv", "dot", "svg"], help="primary output format")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--beta", type=float, default=1.0)
         sp.add_argument("--beta-grid", dest="beta_grid", help="lo:hi:n")
         sp.add_argument("--level", type=int)
         sp.add_argument("--eps", type=float, default=0.5)
-        sp.add_argument("--reps", type=int, default=1000)
 
     sp = sub.add_parser("analyze", help="filtration, valleys, tree, saddle table")
     common(sp)

@@ -4,14 +4,18 @@ Starting from the full set of local minima, each step removes the minimum
 whose cheapest activation energy to any other remaining minimum is smallest,
 until a single state survives. Ties (possible because activation energies are
 sums even though energies are distinct) delete the higher-energy minimum.
+
+One single-source climb search per local minimum gives the k x k matrix of
+activation energies between minima; the deletion loop then only reads it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .landscape import Landscape
-from .saddles import activation_energy
+from .landscape import Landscape, LandscapeError
+from .saddles import climb_costs
 
 
 def local_minima(l: Landscape) -> frozenset[int]:
@@ -45,23 +49,35 @@ class Filtration:
 
 
 def scoppola_filtration(l: Landscape) -> Filtration:
-    minima = local_minima(l)
+    minima = sorted(local_minima(l))
     if not minima:
         raise ValueError("landscape has no local minimum")
-    current = set(minima)
+    # climb[a][b]: activation energy from minimum a to minimum b (list indices)
+    climb = []
+    for m in minima:
+        row = climb_costs(l, m)
+        climb.append([row[n] for n in minima])
+    if any(math.isinf(c) for row in climb for c in row):
+        raise LandscapeError("landscape not connected")
+    energy = l.energy.tolist()
+    current = set(range(len(minima)))
+
+    def row_min(a):
+        return min(((climb[a][b], b) for b in current if b != a), default=(math.inf, None))
+
+    # each row's (cost, argmin) over the surviving minima; a row is rescanned
+    # only when its argmin is deleted
+    best = {a: row_min(a) for a in current}
     order: list[int] = []
     costs: list[float] = []
     while len(current) > 1:
-        best = None
-        for m in current:
-            cost = min(activation_energy(l, m, n) for n in current if n != m)
-            # tie break: prefer smaller cost, then higher energy
-            key = (cost, -l.energy[m])
-            if best is None or key < best[0]:
-                best = (key, m, cost)
-        _, m, cost = best
-        current.remove(m)
-        order.append(m)
-        costs.append(float(cost))
-    order.append(next(iter(current)))
+        # tie break: prefer smaller cost, then higher energy
+        a = min(current, key=lambda a: (best[a][0], -energy[minima[a]]))
+        current.remove(a)
+        order.append(minima[a])
+        costs.append(best.pop(a)[0])
+        for r in current:
+            if best[r][1] == a:
+                best[r] = row_min(r)
+    order.append(minima[current.pop()])
     return Filtration(tuple(order), tuple(costs))

@@ -14,12 +14,13 @@ a minimax Dijkstra) so each can serve as an oracle for the other.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .landscape import Landscape
+from .landscape import Landscape, LandscapeError
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,8 @@ def saddle_table(l: Landscape) -> SaddleTable:
     for a in range(n):
         state[a, a] = a
         energy[a, a] = l.energy[a]
-    assert state.min() >= 0, "landscape not connected"
+    if state.min() < 0:
+        raise LandscapeError("landscape not connected")
     return SaddleTable(state, energy)
 
 
@@ -155,32 +157,42 @@ def minimax_path(l: Landscape, r: int, s: int) -> PathRecord:
     return PathRecord(tuple(path), float(best[s]), float(act))
 
 
-def activation_energy(l: Landscape, s: int, m: int) -> float:
-    """Least cumulative uphill climb from s to m.
+def climb_costs(l: Landscape, s: int) -> list[float]:
+    """Least cumulative uphill climb from s to every state (inf if unreachable).
 
-    Dijkstra with step weight (E(t)-E(u))^+ for a move u -> t. The optimum over
-    walks equals the optimum over self-avoiding paths (dropping a loop never
-    increases the sum), so a plain shortest path is exact.
+    One full Dijkstra with step weight (E(t)-E(u))^+ for a move u -> t. The
+    optimum over walks equals the optimum over self-avoiding paths (dropping a
+    loop never increases the sum), so a plain shortest path is exact. A popped
+    distance is final, so each entry equals what a search stopped at that
+    target would return.
     """
-    if s == m:
-        raise ValueError("s == m")
-    dist = np.full(l.n, np.inf)
+    energy = l.energy.tolist()
+    dist = [math.inf] * l.n
     dist[s] = 0.0
     heap = [(0.0, s)]
-    done = np.zeros(l.n, dtype=bool)
+    done = [False] * l.n
     while heap:
         d, v = heapq.heappop(heap)
         if done[v]:
             continue
         done[v] = True
-        if v == m:
-            return float(d)
+        ev = energy[v]
         for u in l.neighbors[v]:
-            nd = d + max(float(l.energy[u] - l.energy[v]), 0.0)
+            nd = d + max(energy[u] - ev, 0.0)
             if nd < dist[u]:
                 dist[u] = nd
                 heapq.heappush(heap, (nd, u))
-    raise ValueError("states not connected")
+    return dist
+
+
+def activation_energy(l: Landscape, s: int, m: int) -> float:
+    """Least cumulative uphill climb from s to m (see ``climb_costs``)."""
+    if s == m:
+        raise ValueError("s == m")
+    cost = climb_costs(l, s)[m]
+    if math.isinf(cost):
+        raise ValueError("states not connected")
+    return cost
 
 
 def sublevel_connected(l: Landscape, s: int, t: int, barrier: float, avoid=frozenset()) -> bool:
@@ -213,68 +225,56 @@ def sublevel_connected(l: Landscape, s: int, t: int, barrier: float, avoid=froze
     return False
 
 
-def _monotone_paths(l, start, goal, avoid, increasing, limit=200_000):
-    """All strictly monotone self-avoiding paths start -> goal avoiding a set."""
-    sign = 1.0 if increasing else -1.0
-    out = []
-    budget = [limit]
-    path = [start]
+def _monotone_leg(l: Landscape, start: int, goal: int, avoid, rising: bool):
+    """A strictly monotone path start -> goal outside ``avoid``, or None.
 
-    def dfs(v):
-        if budget[0] <= 0:
-            return
-        budget[0] -= 1
+    Breadth-first over moves that rise (resp. fall) without passing the
+    goal's energy; the path is read back through the parent links.
+    """
+    energy = l.energy.tolist()
+    eg = energy[goal]
+    parent = {start: start}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
         if v == goal:
-            out.append(tuple(path))
-            return
+            path = [v]
+            while path[-1] != start:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        ev = energy[v]
         for u in l.neighbors[v]:
-            if u in avoid or u in path:
+            if u in parent or u in avoid:
                 continue
-            if sign * (l.energy[u] - l.energy[v]) <= 0:
-                continue
-            # no point climbing past the goal when ascending (resp. below it)
-            if increasing and l.energy[u] > l.energy[goal]:
-                continue
-            if not increasing and l.energy[u] < l.energy[goal]:
-                continue
-            path.append(u)
-            dfs(u)
-            path.pop()
-
-    dfs(start)
-    return out
+            eu = energy[u]
+            if (ev < eu <= eg) if rising else (eg <= eu < ev):
+                parent[u] = v
+                queue.append(u)
+    return None
 
 
-def uphill_downhill_path(l: Landscape, frm: int, to: int, avoid=frozenset()):
+def uphill_downhill_path(l: Landscape, frm: int, to: int, avoid=frozenset(),
+                         table: SaddleTable | None = None):
     """A minimal path strictly rising to z*(frm, to) and strictly falling to ``to``.
 
     Returns a PathRecord or None. ``avoid`` excludes intermediate states (the
-    endpoints and the saddle must themselves be admissible). The two monotone
-    legs are searched separately and joined on vertex disjointness.
+    endpoints and the saddle must themselves be admissible). With ``table``
+    the saddle is read from it, otherwise one pair sweep finds it. The two
+    monotone legs are searched separately; they can only meet at z*, since a
+    shared state below E(z*) would join frm and to below their essential
+    saddle, so any two legs form a path.
     """
     if frm == to:
         raise ValueError("frm == to")
     avoid = frozenset(avoid)
-    z, ez = essential_saddle(l, frm, to)
-    if (z != frm and z in avoid) or (z != to and z in avoid):
+    if table is None:
+        z, ez = essential_saddle(l, frm, to)
+    else:
+        z, ez = int(table.state[frm, to]), float(table.energy[frm, to])
+    if z in avoid:
         return None
-
-    def record(states):
-        return PathRecord(tuple(states), ez, ez - float(l.energy[frm]))
-
-    if z == frm:
-        for down in _monotone_paths(l, z, to, avoid - {to}, increasing=False):
-            return record(down)
+    up = [frm] if z == frm else _monotone_leg(l, frm, z, avoid - {frm}, rising=True)
+    down = [to] if z == to else _monotone_leg(l, z, to, avoid - {to}, rising=False)
+    if up is None or down is None:
         return None
-    if z == to:
-        for up in _monotone_paths(l, frm, z, avoid - {frm}, increasing=True):
-            return record(up)
-        return None
-    ups = _monotone_paths(l, frm, z, avoid - {frm}, increasing=True)
-    downs = _monotone_paths(l, z, to, avoid - {to}, increasing=False)
-    for up in ups:
-        interior = set(up[:-1])
-        for down in downs:
-            if interior.isdisjoint(down[1:]):
-                return record(up + down[1:])
-    return None
+    return PathRecord(tuple(up + down[1:]), ez, ez - float(l.energy[frm]))

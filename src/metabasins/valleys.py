@@ -10,8 +10,14 @@ pairwise disjoint and connected.
 A state s is attracted by m when m realizes the least saddle energy from s
 and every minimal path to an equally cheap competitor passes through the
 strict basin of m. The path clause reduces to connectivity of the saddle-level
-sublevel set with the strict basin removed (see ``saddles.sublevel_connected``);
-that reduction is validated against literal path enumeration in the tests.
+sublevel set with the strict basin removed; that reduction is validated
+against literal path enumeration in the tests.
+
+Per level, strict basins and the least-saddle clause come from the saddle
+table's columns at M in one pass (row minimum, runner-up, argmin). The path
+clause is read from one energy-stamped union-find sweep per distinct strict
+basin, which also answers every barrier at once; ``decompose_all`` shares the
+sweeps across levels, since strict basins repeat.
 """
 
 from __future__ import annotations
@@ -19,9 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .filtration import Filtration
 from .landscape import Landscape
-from .saddles import SaddleTable, saddle_table, sublevel_connected
+from .saddles import SaddleTable, saddle_table
 
 
 def strict_basin(l: Landscape, table: SaddleTable, M, m: int) -> frozenset[int]:
@@ -40,27 +48,119 @@ def strict_basin(l: Landscape, table: SaddleTable, M, m: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def attracted(l: Landscape, table: SaddleTable, M, s: int, m: int,
-              strict_m: frozenset[int] | None = None) -> bool:
+class _Sweep:
+    """Union-find over the states outside ``avoid``, each link stamped by energy.
+
+    States enter in increasing energy and a link records the energy of the
+    state whose entry formed it. Union by size without path compression keeps
+    the stamps non-decreasing towards a root, so following the links stamped
+    <= e from s ends at the representative of s's component in the sublevel
+    set {x : E(x) <= e} minus ``avoid``.
+    """
+
+    def __init__(self, l: Landscape, avoid):
+        energy = l.energy.tolist()
+        parent = list(range(l.n))
+        stamp = [math.inf] * l.n
+        size = [1] * l.n
+        active = [False] * l.n
+        self.parent, self.stamp = parent, stamp
+        for z in np.argsort(l.energy).tolist():
+            if z in avoid:
+                continue
+            active[z] = True
+            for u in l.neighbors[z]:
+                if not active[u]:
+                    continue
+                a, b = self._root(z, math.inf), self._root(u, math.inf)
+                if a == b:
+                    continue
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                stamp[b] = energy[z]
+                size[a] += size[b]
+
+    def _root(self, v: int, e: float) -> int:
+        parent, stamp = self.parent, self.stamp
+        while parent[v] != v and stamp[v] <= e:
+            v = parent[v]
+        return v
+
+    def connected(self, s: int, t: int, e: float) -> bool:
+        """``sublevel_connected(l, s, t, e, avoid)`` for distinct s and t.
+
+        A state above e or avoided is never reached by a link stamped <= e,
+        so it is its own representative and joins nothing.
+        """
+        return self._root(s, e) == self._root(t, e)
+
+
+class _Level:
+    """Strict basins and attraction among one metastable set M."""
+
+    def __init__(self, l: Landscape, table: SaddleTable, M, sweeps: dict):
+        self.l = l
+        self.M = frozenset(M)
+        self.sweeps = sweeps
+        self.cols = sorted(self.M)
+        self.E = table.energy[:, self.cols]
+        least = self.E.min(axis=1)
+        if len(self.cols) > 1:
+            unique = least < np.partition(self.E, 1, axis=1)[:, 1]
+        else:
+            unique = np.ones(l.n, dtype=bool)
+        arg = np.argmin(self.E, axis=1)
+        self.least, self.unique, self.arg = least.tolist(), unique.tolist(), arg.tolist()
+        # a metastable state is the strict row minimum of its own column; the
+        # basin is filled in increasing state order so that it iterates in the
+        # same order as ``strict_basin``'s (bound sums run over it)
+        self.strict = {}
+        for m in self.M:
+            basin = {m}
+            basin.update(s for s in np.flatnonzero(unique & (arg == self.cols.index(m))).tolist()
+                         if s != m)
+            self.strict[m] = frozenset(basin)
+
+    def _minimizers(self, s: int) -> list[int]:
+        """The metastable states that realise the least saddle energy from s."""
+        if self.unique[s]:
+            return [self.cols[self.arg[s]]]
+        return [self.cols[j] for j in np.flatnonzero(self.E[s] == self.least[s]).tolist()]
+
+    def attracts(self, s: int, m: int) -> bool:
+        """Is s attracted by m?"""
+        if s == m:
+            return True
+        if s in self.M:
+            return False
+        tied = self._minimizers(s)
+        return m in tied and self._wins_ties(s, m, tied)
+
+    def _wins_ties(self, s: int, m: int, tied: list[int]) -> bool:
+        """Does every minimal path from s to another minimizer hit m's strict basin?"""
+        if len(tied) == 1:
+            return True
+        basin = self.strict[m]
+        sweep = self.sweeps.get(basin)
+        if sweep is None:
+            sweep = self.sweeps[basin] = _Sweep(self.l, basin)
+        return not any(sweep.connected(s, mp, self.least[s]) for mp in tied if mp != m)
+
+    def target(self, s: int) -> int | None:
+        """The minimum attracting s (s outside M), or None."""
+        tied = self._minimizers(s)
+        hits = [m for m in tied if self._wins_ties(s, m, tied)]
+        if len(hits) > 1:
+            raise ValueError(f"state {s} attracted by several minima {hits}")
+        return hits[0] if hits else None
+
+
+def attracted(l: Landscape, table: SaddleTable, M, s: int, m: int) -> bool:
     """Is s attracted by m among the metastable set M?"""
-    M = frozenset(M)
     if m not in M:
         raise ValueError("m is not metastable at this level")
-    if s == m:
-        return True
-    if s in M:
-        return False
-    e_m = table.energy[s, m]
-    if any(table.energy[s, n] < e_m for n in M):
-        return False
-    if strict_m is None:
-        strict_m = strict_basin(l, table, M, m)
-    for mp in M - {m}:
-        if table.energy[s, mp] == e_m:
-            # a minimal path to mp that avoids the strict basin kills attraction
-            if sublevel_connected(l, s, mp, barrier=e_m, avoid=strict_m):
-                return False
-    return True
+    return _Level(l, table, M, {}).attracts(s, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,12 +196,6 @@ def _gate(l: Landscape, states) -> int | None:
     return min(boundary, key=lambda s: l.energy[s])
 
 
-def _unique_target(l, table, M, s, strict_map):
-    hits = [m for m in M if attracted(l, table, M, s, m, strict_map[m])]
-    assert len(hits) <= 1, f"state {s} attracted by several minima {hits}"
-    return hits[0] if hits else None
-
-
 def decompose_all(l: Landscape, f: Filtration,
                   table: SaddleTable | None = None) -> list[ValleyDecomposition]:
     """All levels 1..nlevels, in order (each level consumes the previous one)."""
@@ -109,13 +203,14 @@ def decompose_all(l: Landscape, f: Filtration,
         table = saddle_table(l)
     levels: list[ValleyDecomposition] = []
     order = f.deletion_order
+    sweeps: dict = {}
     for i in range(1, f.levels + 1):
         M = f.M(i)
-        strict_map = {m: strict_basin(l, table, M, m) for m in M}
+        level = _Level(l, table, M, sweeps)
         if i == 1:
             valley = {m: set() for m in M}
             for s in range(l.n):
-                t = s if s in M else _unique_target(l, table, M, s, strict_map)
+                t = s if s in M else level.target(s)
                 if t is not None:
                     valley[t].add(s)
             attracted_at = {
@@ -133,12 +228,12 @@ def decompose_all(l: Landscape, f: Filtration,
             dropped = order[i - 2]  # the minimum deleted when entering level i
             pending[dropped] = (i - 1, prev.valley[dropped], prev.exit_gate[dropped])
             for s in sorted(prev.nonassigned):
-                t = _unique_target(l, table, M, s, strict_map)
+                t = level.target(s)
                 if t is not None:
                     valley[t].add(s)
                     attracted_at[s] = (t, i)
             for p in sorted(pending):
-                t = _unique_target(l, table, M, p, strict_map)
+                t = level.target(p)
                 if t is not None:
                     own_level, states, _ = pending.pop(p)
                     valley[t].update(states)
@@ -151,7 +246,7 @@ def decompose_all(l: Landscape, f: Filtration,
         gates = {m: _gate(l, members) for m, members in valley.items()}
         levels.append(ValleyDecomposition(
             level=i,
-            strict=strict_map,
+            strict=level.strict,
             valley={m: frozenset(v) for m, v in valley.items()},
             nonassigned=nonassigned,
             attracted_at=attracted_at,

@@ -150,7 +150,7 @@ def _valley_invariants(l, f, table, decomps) -> str | None:
             M = f.M(d.level)
             for s in range(l.n):
                 if s not in members and s not in M \
-                        and attracted(l, table, M, s, m, d.strict[m]):
+                        and attracted(l, table, M, s, m):
                     return f"level {d.level}: attracted state {s} outside valley of {m}"
             for s in members:
                 if any(table.energy[s, mp] < table.energy[s, m] for mp in f.M(d.level)):

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from metabasins import reference
+from metabasins import reference, saddles
 from metabasins.aggregation import (
+    MetastateSpace,
     asymptotic_jump_chain,
     exact_jump_distribution,
     exact_valley_transition,
@@ -401,3 +403,41 @@ def _ks_statistic(a, b):
     ca = np.searchsorted(np.sort(a), grid, side="right") / len(a)
     cb = np.searchsorted(np.sort(b), grid, side="right") / len(b)
     return float(np.max(np.abs(ca - cb)))
+
+
+def test_metastate_space_rejects_uncovered_state(L6):
+    d = dataclasses.replace(L6.decomps[0], nonassigned=frozenset({1}))
+    with pytest.raises(ValueError, match="partition"):
+        metastate_space(d, L6.f)
+
+
+def test_jump_chain_rejects_nonassigned_minimum(L6):
+    ms = ms_at(L6, 1)
+    ms = dataclasses.replace(ms, nonassigned=ms.nonassigned | {2})
+    with pytest.raises(ValueError, match="no downhill move"):
+        asymptotic_jump_chain(L6.l, ms)
+
+
+def test_valley_transition_rejects_adjacent_valleys(L6):
+    # V(0) = {0, 1} touches V(2) directly
+    valleys = {0: {0, 1}, 2: {2}, 3: {3}, 4: {4, 5}}
+    ms = MetastateSpace(1, (0, 2, 3, 4), frozenset({3}),
+                        {m: frozenset(v) for m, v in valleys.items()},
+                        {0: 2, 2: 3, 4: 3}, {m: 1 for m in valleys},
+                        np.array([0, 0, 2, 3, 4, 4]))
+    with pytest.raises(ValueError, match="borders another valley"):
+        exact_valley_transition(build_metropolis(L6.l, 1.0), ms, 0)
+
+
+def test_find_metabasins_with_table_runs_no_pair_sweep(L14X, monkeypatch):
+    calls = []
+    real = saddles.essential_saddle
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(saddles, "essential_saddle", counting)
+    report = find_metabasins(L14X.l, 2.5, L14X.f, L14X.decomps, L14X.table)
+    assert report.level is not None
+    assert calls == []

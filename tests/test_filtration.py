@@ -1,8 +1,12 @@
+import heapq
+import math
+
+import numpy as np
 import pytest
 
-from metabasins import reference
+from metabasins import filtration, reference
 from metabasins.filtration import local_minima, scoppola_filtration
-from metabasins.landscape import gen_random_landscape
+from metabasins.landscape import Landscape, LandscapeError, gen_random_landscape
 
 
 def test_local_minima_l6(L6):
@@ -42,15 +46,18 @@ def test_nesting_and_determinism(L6):
 
 
 def test_single_minimum():
-    import numpy as np
-    from metabasins.landscape import Landscape
-
     l = Landscape(np.array([0.0, 1.0, 2.0, 3.0]),
                   ((1,), (0, 2), (1, 3), (2,)))
     f = scoppola_filtration(l)
     assert f.levels == 1
     assert f.deletion_costs == ()
     assert f.deletion_order == (0,)
+
+
+def test_disconnected_minima_raise():
+    l = Landscape(np.array([0.0, 1.0, 0.5, 2.0]), ((1,), (0,), (3,), (2,)))
+    with pytest.raises(LandscapeError, match="not connected"):
+        scoppola_filtration(l)
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -67,3 +74,68 @@ def test_deletion_minimizes_activation_oracle(seed):
         assert cost == pytest.approx(best, abs=1e-12)
         assert cost == pytest.approx(f.deletion_costs[step], abs=1e-12)
         current.remove(m)
+
+
+def _climb_to(l, s, m):
+    """Activation energy of one pair: Dijkstra stopped when m is popped."""
+    dist = {s: 0.0}
+    heap = [(0.0, s)]
+    done = set()
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in done:
+            continue
+        done.add(v)
+        if v == m:
+            return d
+        for u in l.neighbors[v]:
+            nd = d + max(float(l.energy[u] - l.energy[v]), 0.0)
+            if nd < dist.get(u, math.inf):
+                dist[u] = nd
+                heapq.heappush(heap, (nd, u))
+    raise ValueError("states not connected")
+
+
+def _filtration_by_definition(l):
+    """The deletion loop read literally: every cost searched per pair and step."""
+    current = set(local_minima(l))
+    order, costs = [], []
+    while len(current) > 1:
+        cost, _, m = min((min(_climb_to(l, m, n) for n in current if n != m), -l.energy[m], m)
+                         for m in current)
+        current.remove(m)
+        order.append(m)
+        costs.append(cost)
+    order.append(current.pop())
+    return tuple(order), tuple(costs)
+
+
+def test_matrix_filtration_matches_pairwise_definition():
+    for seed in range(40):
+        l = gen_random_landscape(10 + seed % 25, 4, 0.05, seed=9000 + seed)
+        f = scoppola_filtration(l)
+        assert (f.deletion_order, f.deletion_costs) == _filtration_by_definition(l), seed
+
+
+def test_cost_tie_deletes_higher_minimum():
+    # minima 0 (E 0), 2 (E 1) and 4 (E 2); 2 and 4 both escape with a climb of 2
+    l = Landscape(np.array([0.0, 3.0, 1.0, 4.0, 2.0]),
+                  ((1,), (0, 2), (1, 3), (2, 4), (3,)))
+    f = scoppola_filtration(l)
+    assert f.deletion_order == (4, 2, 0)
+    assert f.deletion_costs == (2.0, 2.0)
+    assert (f.deletion_order, f.deletion_costs) == _filtration_by_definition(l)
+
+
+def test_one_climb_search_per_minimum(monkeypatch):
+    l = gen_random_landscape(40, 4, 0.05, seed=5)
+    sources = []
+    real = filtration.climb_costs
+
+    def counting(l, s):
+        sources.append(s)
+        return real(l, s)
+
+    monkeypatch.setattr(filtration, "climb_costs", counting)
+    scoppola_filtration(l)
+    assert sorted(sources) == sorted(local_minima(l))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from metabasins import reference
-from metabasins.landscape import gen_random_landscape
+from metabasins.landscape import Landscape, LandscapeError, gen_random_landscape
 from metabasins.saddles import (
     activation_energy,
     essential_saddle,
@@ -25,6 +25,12 @@ def test_table_symmetric(L6, L14X):
     for fx in (L6, L14X):
         assert (fx.table.state == fx.table.state.T).all()
         assert (fx.table.energy == fx.table.energy.T).all()
+
+
+def test_disconnected_landscape_raises():
+    l = Landscape(np.array([0.0, 1.0, 2.0, 3.0]), ((1,), (0,), (3,), (2,)))
+    with pytest.raises(LandscapeError, match="not connected"):
+        saddle_table(l)
 
 
 def test_self_saddle_convention(L6):
@@ -129,9 +135,20 @@ def test_uphill_downhill_l14x_gate_paths(L14X):
 def test_uphill_downhill_matches_unimodal_oracle(seed):
     l = gen_random_landscape(5 + seed % 4, 3, 0.05, seed=400 + seed)
     cache = reference.PathCache(l)
+    table = saddle_table(l)
     rng = np.random.default_rng(seed)
     for _ in range(6):
         a, b = (int(v) for v in rng.choice(l.n, size=2, replace=False))
-        got = uphill_downhill_path(l, a, b) is not None
-        want = reference.unimodal_escape_oracle(l, cache, a, b, frozenset())
-        assert got == want
+        drawn = frozenset(int(v) for v in rng.choice(l.n, size=2)) - {a, b}
+        for avoid in (frozenset(), drawn):
+            want = reference.unimodal_escape_oracle(l, cache, a, b, avoid)
+            assert (uphill_downhill_path(l, a, b, avoid) is not None) == want
+            rec = uphill_downhill_path(l, a, b, avoid, table)
+            assert (rec is not None) == want
+            if rec is None:
+                continue
+            p = rec.states
+            assert (p[0], p[-1]) == (a, b) and avoid.isdisjoint(p[1:-1])
+            assert all(v in l.neighbors[u] for u, v in zip(p, p[1:]))
+            assert reference.path_max(l, p) == (rec.max_energy, table.state[a, b])
+            assert reference.path_climb(l, p) == pytest.approx(rec.activation, abs=1e-12)

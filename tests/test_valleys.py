@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
 from metabasins import reference
 from metabasins.filtration import scoppola_filtration
 from metabasins.landscape import gen_random_landscape
-from metabasins.saddles import saddle_table
+from metabasins.saddles import SaddleTable, saddle_table, sublevel_connected
 from metabasins.valleys import (
+    _Level,
+    _Sweep,
     attracted,
     build_tree,
     connectivity_params,
@@ -36,6 +39,41 @@ def test_attracted_l6(L6):
     assert attracted(l, t, level2, 1, 0)
     assert not attracted(l, t, level2, 3, 0)
     assert not attracted(l, t, level2, 3, 4)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_vectorised_strict_basins_match_per_state_loop(seed):
+    l = gen_random_landscape(10 + 4 * seed, 4, 0.05, seed=9200 + seed)
+    f = scoppola_filtration(l)
+    table = saddle_table(l)
+    for i in range(1, f.levels + 1):
+        M = f.M(i)
+        assert _Level(l, table, M, {}).strict == {m: strict_basin(l, table, M, m) for m in M}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_swept_connectivity_matches_sublevel_bfs(seed):
+    l = gen_random_landscape(8 + 3 * seed, 3, 0.05, seed=9100 + seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        avoid = frozenset(int(v) for v in rng.choice(l.n, size=int(rng.integers(0, 5)),
+                                                     replace=False))
+        sweep = _Sweep(l, avoid)
+        for _ in range(20):
+            s, t = (int(v) for v in rng.choice(l.n, size=2, replace=False))
+            # energies themselves probe the inclusive end of the sublevel set
+            barrier = float(rng.choice(l.energy)) + float(rng.choice([-0.01, 0.0, 0.01]))
+            assert sweep.connected(s, t, barrier) == sublevel_connected(l, s, t, barrier, avoid)
+
+
+def test_several_attracting_minima_raise(L6):
+    # a doctored table puts state 1's tied saddles below its own energy, so no
+    # sublevel path can disprove either attraction
+    energy = L6.table.energy.copy()
+    for m in (0, 2):
+        energy[1, m] = energy[m, 1] = 0.5
+    with pytest.raises(ValueError, match="several minima"):
+        decompose_all(L6.l, L6.f, SaddleTable(L6.table.state, energy))
 
 
 def test_decompose_l6_levels(L6):
