@@ -19,9 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import TransitionModel, off_diagonal_row_sums
+from .chain import TransitionModel, _absorbing_solve, off_diagonal_row_sums
 from .filtration import Filtration, scoppola_filtration
-from .landscape import Landscape
+from .landscape import Landscape, reachable
 from .saddles import SaddleTable, saddle_table, uphill_downhill_path
 from .valleys import (
     ValleyDecomposition,
@@ -187,17 +187,23 @@ def exact_jump_distribution(model: TransitionModel, ms: MetastateSpace, r: int) 
         return out
     members = sorted(ms.valley_of[r])
     outside = [s for s in range(model.n) if s not in ms.valley_of[r]]
-    A = -P[np.ix_(members, members)]
-    np.fill_diagonal(A, off_diagonal_row_sums(P, members))
-    X = np.linalg.solve(A, P[np.ix_(members, outside)])
+    X = _absorbing_solve(P, members, P[np.ix_(members, outside)])
     row = X[members.index(r)]
     for t, p in zip(outside, row):
         if p > 0:
             m = int(ms.rep_of[t])
             out[m] = out.get(m, 0.0) + float(p)
     # the law sums to one exactly; renormalizing removes the common solver drift
-    total = sum(out.values())
-    return {m: p / total for m, p in out.items()}
+    return _normalized(out, f"jump law of metastate {r}")
+
+
+def _normalized(law: dict[int, float], what: str) -> dict[int, float]:
+    """``law`` divided by its total, which must be finite and positive."""
+    total = sum(law.values())
+    if not (math.isfinite(total) and total > 0):
+        raise ValueError(f"{what} has total mass {total}; the absorbing solve "
+                         "lost the exit mass at this beta")
+    return {m: p / total for m, p in law.items()}
 
 
 def exact_valley_transition(model: TransitionModel, ms: MetastateSpace, m: int) -> dict[int, float]:
@@ -212,19 +218,16 @@ def exact_valley_transition(model: TransitionModel, ms: MetastateSpace, m: int) 
     if not ms.nonassigned.issuperset(exit_dist):
         raise ValueError(f"valley {m} borders another valley; boundaries must be non-assigned")
     # absorption of the walk on the non-assigned set into the valleys
-    A = -P[np.ix_(nlist, nlist)]
-    np.fill_diagonal(A, off_diagonal_row_sums(P, nlist))
     B = np.zeros((len(nlist), len(mlist)))
     for a, nstate in enumerate(nlist):
         for b, target in enumerate(mlist):
             B[a, b] = P[nstate, sorted(ms.valley_of[target])].sum()
-    H = np.linalg.solve(A, B)
+    H = _absorbing_solve(P, nlist, B)
     out = {mp: 0.0 for mp in mlist}
     for nstate, w in exit_dist.items():
         for b, mp in enumerate(mlist):
             out[mp] += w * float(H[nlist.index(nstate), b])
-    total = sum(out.values())
-    return {mp: p / total for mp, p in out.items()}
+    return _normalized(out, f"valley transition law of {m}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,23 +239,6 @@ class ExponentMatrix:
     boundary_exp: dict[tuple[int, int], float]
     limit_positive: dict[tuple[int, int], bool]
     reachable: dict[tuple[int, int], bool]
-
-
-def _finite_beta_reachable(l: Landscape, ms: MetastateSpace, gate: int) -> frozenset[int]:
-    """Valley metastates whose valley touches the non-assigned component of ``gate``."""
-    seen = {gate}
-    stack = [gate]
-    hit: set[int] = set()
-    while stack:
-        v = stack.pop()
-        for u in l.neighbors[v]:
-            if u in ms.nonassigned:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-            else:
-                hit.add(int(ms.rep_of[u]))
-    return frozenset(hit)
 
 
 def transition_exponents(l: Landscape, ms: MetastateSpace,
@@ -272,14 +258,16 @@ def transition_exponents(l: Landscape, ms: MetastateSpace,
     D: dict[tuple[int, int], float] = {}
     udh: dict[tuple[int, int], bool] = {}
     limit_positive: dict[tuple[int, int], bool] = {}
-    reachable: dict[tuple[int, int], bool] = {}
+    reaches: dict[tuple[int, int], bool] = {}
     valleys = {m: ms.valley_of[m] for m in mlist}
     for a, m in enumerate(mlist):
         gate = ms.gate_of[m]
-        reach = _finite_beta_reachable(l, ms, gate)
+        # valleys touching the non-assigned component of the gate
+        reach = {int(ms.rep_of[u]) for v in reachable(l, gate, ms.nonassigned)
+                 for u in l.neighbors[v] if u not in ms.nonassigned}
         for b, mp in enumerate(mlist):
             limit_positive[(m, mp)] = bool(limits[a, b] > 0)
-            reachable[(m, mp)] = mp in reach
+            reaches[(m, mp)] = mp in reach
             if mp == m:
                 continue
             D[(m, mp)] = float(table.energy[m, mp] - l.energy[gate])
@@ -290,7 +278,7 @@ def transition_exponents(l: Landscape, ms: MetastateSpace,
         for m in mlist for s in outer_boundary(l, ms.valley_of[m])
     }
     return ExponentMatrix(ms.level, tuple(mlist), D, udh, boundary_exp,
-                          limit_positive, reachable)
+                          limit_positive, reaches)
 
 
 @dataclass(frozen=True)
@@ -452,12 +440,9 @@ def semi_markov_kernel(model: TransitionModel, ms: MetastateSpace,
     members = sorted(ms.valley_of[y])
     pos = {s: k for k, s in enumerate(members)}
     P = model.P
-    A = -P[np.ix_(members, members)]
-    np.fill_diagonal(A, off_diagonal_row_sums(P, members))
-    lu = np.linalg.inv(A)           # small valleys; reused for h and u
     r_z = P[members, z]
-    h = lu @ r_z                     # P_s(exit exactly at z)
-    u = lu @ h                       # E_s(sojourn; exit at z)
+    h = _absorbing_solve(P, members, r_z)      # P_s(exit exactly at z)
+    u = _absorbing_solve(P, members, h)        # E_s(sojourn; exit at z)
     entries = [s for s in l.neighbors[x] if s in ms.valley_of[y]]
     weights = np.array([P[x, s] * h[pos[s]] for s in entries])
     if weights.sum() <= 0:

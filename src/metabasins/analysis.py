@@ -18,7 +18,7 @@ import numpy as np
 
 from .aggregation import MetastateSpace, exact_jump_distribution
 from .chain import TransitionModel, gamma_beta
-from .landscape import Landscape
+from .landscape import Landscape, min_energy_gap, reachable
 from .saddles import SaddleTable, saddle_table
 from .valleys import ValleyDecomposition, connectivity_params, outer_boundary
 
@@ -37,11 +37,6 @@ def _logsumexp(values) -> float:
         return -math.inf
     top = max(values)
     return top + math.log(sum(math.exp(v - top) for v in values))
-
-
-def min_energy_gap(l: Landscape) -> float:
-    e = np.sort(l.energy)
-    return float(np.diff(e).min()) if l.n > 1 else math.inf
 
 
 def log_k_beta(l: Landscape, beta: float) -> float:
@@ -220,15 +215,7 @@ def quasi_stationary(model: TransitionModel, V, tol: float = 1e-14,
         # row-stochastic restriction: Perron value 1, left eigenvector pi
         return QuasiStationary(tuple(V), 1.0, model.pi.copy())
     inside = set(V)
-    seen = {V[0]}
-    stack = [V[0]]
-    while stack:
-        v = stack.pop()
-        for u in l.neighbors[v]:
-            if u in inside and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if seen != inside:
+    if reachable(l, V[0], inside) != inside:
         raise ValueError("restriction to V is not irreducible")
     Q = model.P[np.ix_(V, V)]
     nu = np.full(len(V), 1.0 / len(V))

@@ -10,10 +10,13 @@ use the first-return convention tau_A = inf{n >= 1 : X_n in A}; when the start
 state lies in A or B one explicit first step is taken before reading the
 absorption values.
 
-Linear systems are assembled with diagonals built as sums of positive
-off-diagonal mass, never as 1 - p(r,r); at large beta the latter is swallowed
-by rounding while the former stays exact, which is what keeps exit times with
-barriers like e^{70} solvable in double precision.
+Linear systems are assembled in one place, ``_absorbing_solve``, with
+diagonals built as sums of positive off-diagonal mass, never as 1 - p(r,r).
+At large beta the latter is swallowed by rounding; the former is what keeps
+exit times with barriers like e^{70} solvable in double precision. It has a
+limit too: a row's exit mass is added to its in-valley mass (the mass sent to
+the other transient states), so an exit mass below one ulp of the in-valley
+mass is lost from the diagonal and the solved laws no longer sum to one.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ def gamma_beta(l: Landscape, beta: float) -> float:
 
 
 def build_metropolis(l: Landscape, beta: float) -> TransitionModel:
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     if beta <= 0:
         raise ValueError("beta must be positive")
     n = l.n
@@ -95,15 +100,15 @@ def off_diagonal_row_sums(P: np.ndarray, rows) -> np.ndarray:
     return block.sum(axis=1)
 
 
-def _absorption_system(P: np.ndarray, absorbing: frozenset[int]):
-    """Transient index list and the matrix (I - Q) with exact diagonals."""
-    n = P.shape[0]
-    transient = [s for s in range(n) if s not in absorbing]
-    if not transient:
-        return transient, np.zeros((0, 0))
+def _absorbing_solve(P: np.ndarray, transient, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - Q) x = rhs, Q the block of P on the ``transient`` states.
+
+    The diagonal of I - Q is the off-diagonal row mass, so it carries no
+    1 - p(r,r) cancellation.
+    """
     A = -P[np.ix_(transient, transient)]
     np.fill_diagonal(A, off_diagonal_row_sums(P, transient))
-    return transient, A
+    return np.linalg.solve(A, rhs)
 
 
 def absorption_probabilities(P: np.ndarray, targets, others=frozenset()) -> np.ndarray:
@@ -112,24 +117,24 @@ def absorption_probabilities(P: np.ndarray, targets, others=frozenset()) -> np.n
     Entries for states inside the sets are their indicator values.
     """
     targets = frozenset(targets)
-    others = frozenset(others)
-    transient, A = _absorption_system(P, targets | others)
+    absorbing = targets | frozenset(others)
+    transient = [s for s in range(P.shape[0]) if s not in absorbing]
     h = np.zeros(P.shape[0])
     for t in targets:
         h[t] = 1.0
     if transient:
         b = P[np.ix_(transient, sorted(targets))].sum(axis=1)
-        h[transient] = np.linalg.solve(A, b)
+        h[transient] = _absorbing_solve(P, transient, b)
     return h
 
 
 def expected_absorption_times(P: np.ndarray, absorbing) -> np.ndarray:
     """E(steps until the absorbing set) from every state (0 inside the set)."""
     absorbing = frozenset(absorbing)
-    transient, A = _absorption_system(P, absorbing)
+    transient = [s for s in range(P.shape[0]) if s not in absorbing]
     t = np.zeros(P.shape[0])
     if transient:
-        t[transient] = np.linalg.solve(A, np.ones(len(transient)))
+        t[transient] = _absorbing_solve(P, transient, np.ones(len(transient)))
     return t
 
 

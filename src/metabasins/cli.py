@@ -26,20 +26,32 @@ from .saddles import saddle_table
 from .valleys import decompose_all, tree_to_dot, build_tree
 
 
-def _round12(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}") if math.isfinite(obj) else repr(obj)
+def _plain(obj):
+    """JSON-ready copy of ``obj``: builtin scalars, string keys, sorted frozensets.
+
+    Floats keep 12 significant digits so that reruns are byte-identical; a
+    non-finite float is written as the string "inf", "-inf" or "nan".
+    """
     if isinstance(obj, dict):
-        return {str(k): _round12(v) for k, v in obj.items()}
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, frozenset):
+        obj = sorted(obj)
     if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        return float(f"{v:.12g}") if math.isfinite(v) else repr(v)
     return obj
 
 
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(_round12(obj), fh, indent=1, sort_keys=True)
+        json.dump(_plain(obj), fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
@@ -121,9 +133,11 @@ def cmd_simulate(args) -> int:
 def cmd_aggregate(args) -> int:
     l = _load(args)
     f = scoppola_filtration(l)
+    level = args.level if args.level is not None else max(f.levels - 1, 1)
+    if not 1 <= level <= f.levels:
+        raise ValueError(f"--level must be between 1 and {f.levels}, got {level}")
     table = saddle_table(l)
     decomps = decompose_all(l, f, table)
-    level = args.level or max(f.levels - 1, 1)
     ms = metastate_space(decomps[level - 1], f)
     jc = asymptotic_jump_chain(l, ms)
     lab = l.labels
@@ -225,47 +239,43 @@ def cmd_report(args) -> int:
     return 0
 
 
+# Every flag with its argparse settings; each command takes only those it reads.
+_FLAGS = {
+    "--landscape": dict(help="landscape JSON file"),
+    "--canonical": dict(help="built-in landscape name (L6, L14, L14X)"),
+    "--out": dict(default="out", help="output directory"),
+    "--beta": dict(type=float, default=1.0, help="inverse temperature"),
+    "--seed": dict(type=int, default=0),
+    "--steps": dict(type=int, default=10000),
+    "--start": dict(type=int, help="start state label (default: lowest energy)"),
+    "--level": dict(type=int, help="aggregation level, 1..levels (default: levels - 1)"),
+    "--eps": dict(type=float, default=0.5, help="metabasin order"),
+    "--only": dict(help="comma separated criterion names"),
+    "--beta-grid": dict(help="lo:hi:n"),
+}
+_SOURCE = ("--landscape", "--canonical", "--out")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="metabasins",
                                 description="Energy landscape valley analysis")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--landscape", help="landscape JSON file")
-        sp.add_argument("--canonical", help="built-in landscape name (L6, L14, L14X)")
-        sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--beta", type=float, default=1.0)
-        sp.add_argument("--beta-grid", dest="beta_grid", help="lo:hi:n")
-        sp.add_argument("--level", type=int)
-        sp.add_argument("--eps", type=float, default=0.5)
-
-    sp = sub.add_parser("analyze", help="filtration, valleys, tree, saddle table")
-    common(sp)
-    sp.set_defaults(fn=cmd_analyze)
-
-    sp = sub.add_parser("simulate", help="sample a trajectory")
-    common(sp)
-    sp.add_argument("--steps", type=int, default=10000)
-    sp.add_argument("--start", type=int, help="start state label")
-    sp.set_defaults(fn=cmd_simulate)
-
-    sp = sub.add_parser("aggregate", help="jump-chain limit and exponents at a level")
-    common(sp)
-    sp.set_defaults(fn=cmd_aggregate)
-
-    sp = sub.add_parser("mb", help="search for the metabasin level")
-    common(sp)
-    sp.set_defaults(fn=cmd_mb)
-
-    sp = sub.add_parser("verify", help="run the acceptance suite")
-    common(sp)
-    sp.add_argument("--only", help="comma separated criterion names")
-    sp.set_defaults(fn=cmd_verify)
-
-    sp = sub.add_parser("report", help="render verify curves as SVG plots")
-    common(sp)
-    sp.set_defaults(fn=cmd_report)
+    # built per call, so that a rebinding of cli.cmd_* (a tracer) is honoured
+    commands = (
+        ("analyze", cmd_analyze, "filtration, valleys, tree, saddle table", _SOURCE),
+        ("simulate", cmd_simulate, "sample a trajectory",
+         _SOURCE + ("--beta", "--seed", "--steps", "--start")),
+        ("aggregate", cmd_aggregate, "jump-chain limit and exponents at a level",
+         _SOURCE + ("--beta", "--level")),
+        ("mb", cmd_mb, "search for the metabasin level", _SOURCE + ("--eps",)),
+        ("verify", cmd_verify, "run the acceptance suite", ("--out", "--only", "--beta-grid")),
+        ("report", cmd_report, "render verify curves as SVG plots", ("--out",)),
+    )
+    for name, fn, help_text, flags in commands:
+        sp = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.set_defaults(fn=fn)
     return p
 
 
@@ -273,7 +283,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (LandscapeError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

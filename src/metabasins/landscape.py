@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +47,10 @@ class Landscape:
         return len(self.neighbors[s])
 
     def index_of_label(self, label: int) -> int:
-        return self.labels.index(label)
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise LandscapeError(f"no state with label {label}") from None
 
     def distance(self, a: int, b: int) -> float:
         if self.coords is None:
@@ -73,12 +75,29 @@ def _from_adjacency(energy, adjacency, coords, labels) -> Landscape:
     return Landscape(np.asarray(energy, float), nbrs, coords, tuple(labels))
 
 
+def reachable(l: Landscape, start: int, allowed) -> set[int]:
+    """States reachable from ``start`` (always included) through states in ``allowed``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for u in l.neighbors[v]:
+            if u not in seen and u in allowed:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
+def min_energy_gap(l: Landscape) -> float:
+    """Smallest difference between two state energies (+inf if fewer than two states)."""
+    return float(np.diff(np.sort(l.energy)).min()) if l.n > 1 else math.inf
+
+
 def validate(l: Landscape) -> ValidationReport:
     """Report connectivity, adjacency symmetry and energy non-degeneracy.
 
-    Never raises; loaders raise, this reports. ``min_energy_gap`` is the
-    smallest positive difference between two state energies (+inf if fewer
-    than two states).
+    Never raises; loaders raise, this reports. Symmetric failures still
+    explore whatever is reachable from state 0.
     """
     n = l.n
     symmetric = True
@@ -86,21 +105,29 @@ def validate(l: Landscape) -> ValidationReport:
         for b in l.neighbors[a]:
             if a == b or a not in l.neighbors[b]:
                 symmetric = False
-    # BFS from 0; symmetric failures still explore whatever is reachable
-    seen = {0} if n else set()
-    queue = deque(seen)
-    while queue:
-        a = queue.popleft()
-        for b in l.neighbors[a]:
-            if b not in seen:
-                seen.add(b)
-                queue.append(b)
-    connected = len(seen) == n
-    e = np.sort(l.energy)
-    gaps = np.diff(e)
-    nondegenerate = bool(np.all(gaps > 0)) if n > 1 else True
-    min_gap = float(gaps.min()) if n > 1 else math.inf
-    return ValidationReport(connected, symmetric, nondegenerate, min_gap)
+    connected = n == 0 or len(reachable(l, 0, range(n))) == n
+    gap = min_energy_gap(l)
+    return ValidationReport(connected, symmetric, gap > 0, gap)
+
+
+def _state_id(value, what: str) -> int:
+    """A state id read from a file: an integer, never a bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise LandscapeError(f"{what} must be an integer state id, got {value!r}")
+    return value
+
+
+def _finite(value, what: str) -> float:
+    """A finite number read from a file (bools and strings are not numbers)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise LandscapeError(f"{what} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise LandscapeError(f"{what} is not finite: {value!r}")
+    return x
 
 
 def load_landscape(path) -> Landscape:
@@ -109,19 +136,20 @@ def load_landscape(path) -> Landscape:
     Schema: ``{"states": [{"id": int, "energy": float, "coord": [...]?,
     "neighbors": [...]?}], "edges": [[a, b], ...]}``. Either every state
     carries a symmetric "neighbors" list, or "edges" lists each undirected
-    edge exactly once.
+    edge exactly once. Every malformed file raises ``LandscapeError``.
     """
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:       # not JSON, or not UTF-8
             raise LandscapeError(f"parse error: {exc}") from exc
-    try:
-        states = data["states"]
-        ids = [int(s["id"]) for s in states]
-        energies = [float(s["energy"]) for s in states]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise LandscapeError(f"parse error: {exc}") from exc
+    states = data.get("states") if isinstance(data, dict) else None
+    if not isinstance(states, list) or not states:
+        raise LandscapeError('"states" must be a nonempty list')
+    if not all(isinstance(s, dict) and "id" in s and "energy" in s for s in states):
+        raise LandscapeError('every state must be an object with "id" and "energy"')
+    ids = [_state_id(s["id"], "state id") for s in states]
+    energies = [_finite(s["energy"], f"energy of state {i}") for s, i in zip(states, ids)]
     if len(set(ids)) != len(ids):
         raise LandscapeError("duplicate state id")
     if len(set(energies)) != len(energies):
@@ -134,15 +162,22 @@ def load_landscape(path) -> Landscape:
     if any("coord" in s for s in states):
         if not all("coord" in s for s in states):
             raise LandscapeError("coordinates given for only some states")
-        coords = np.array([states[i]["coord"] for i in order], dtype=float)
+        rows = [states[i]["coord"] for i in order]
+        if not all(isinstance(c, list) for c in rows) or len({len(c) for c in rows}) != 1:
+            raise LandscapeError("coordinates must be lists of one common length")
+        coords = np.array([[_finite(x, f"coordinate of state {lab}") for x in c]
+                           for lab, c in zip(labels, rows)], dtype=float)
 
     adjacency = [set() for _ in ids]
     if any("neighbors" in s for s in states):
-        for s in states:
-            for lab in s.get("neighbors", ()):
-                if lab not in index:
+        for s, lab_s in zip(states, ids):
+            nbrs = s.get("neighbors", [])
+            if not isinstance(nbrs, list):
+                raise LandscapeError(f"neighbors of state {lab_s} must be a list")
+            for lab in nbrs:
+                if _state_id(lab, "neighbor id") not in index:
                     raise LandscapeError(f"unknown state id {lab} in neighbor list")
-                adjacency[index[int(s["id"])]].add(index[lab])
+                adjacency[index[lab_s]].add(index[lab])
         for a in range(len(ids)):
             for b in adjacency[a]:
                 if a == b:
@@ -152,9 +187,14 @@ def load_landscape(path) -> Landscape:
                         f"asymmetric adjacency: ({labels[b]},{labels[a]}) missing"
                     )
     else:
+        edges = data.get("edges", [])
+        if not isinstance(edges, list):
+            raise LandscapeError('"edges" must be a list')
         seen_pairs = set()
-        for pair in data.get("edges", ()):
-            a, b = (int(pair[0]), int(pair[1]))
+        for pair in edges:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise LandscapeError(f"edge must be a pair of state ids: {pair!r}")
+            a, b = (_state_id(v, "edge endpoint") for v in pair)
             if a == b:
                 raise LandscapeError("self edge")
             if a not in index or b not in index:
@@ -167,10 +207,7 @@ def load_landscape(path) -> Landscape:
             adjacency[index[b]].add(index[a])
 
     l = _from_adjacency(energy, adjacency, coords, labels)
-    report = validate(l)
-    if not report.nondegenerate:
-        raise LandscapeError("degenerate energies")
-    if not report.connected:
+    if not validate(l).connected:
         raise LandscapeError("landscape graph is not connected")
     return l
 

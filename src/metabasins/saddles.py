@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .landscape import Landscape, LandscapeError
+from .landscape import Landscape, LandscapeError, reachable
 
 
 @dataclass(frozen=True)
@@ -203,26 +203,8 @@ def sublevel_connected(l: Landscape, s: int, t: int, barrier: float, avoid=froze
     the negation of this predicate with avoid = V. States outside the
     subgraph (too high, or avoided) are never connected to anything.
     """
-    avoid = set(avoid)
-
-    def admissible(v):
-        return l.energy[v] <= barrier and v not in avoid
-
-    if not admissible(s) or not admissible(t):
-        return False
-    if s == t:
-        return True
-    seen = {s}
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        for u in l.neighbors[v]:
-            if u == t and admissible(u):
-                return True
-            if u not in seen and admissible(u):
-                seen.add(u)
-                queue.append(u)
-    return False
+    allowed = set(np.flatnonzero(l.energy <= barrier).tolist()) - set(avoid)
+    return s in allowed and t in allowed and t in reachable(l, s, allowed)
 
 
 def _monotone_leg(l: Landscape, start: int, goal: int, avoid, rising: bool):

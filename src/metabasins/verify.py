@@ -25,7 +25,7 @@ from .aggregation import (
 )
 from .chain import HittingQuery, build_metropolis, hitting_probability, expected_hitting_time
 from .filtration import scoppola_filtration
-from .landscape import Landscape, gen_random_landscape
+from .landscape import Landscape, gen_random_landscape, reachable
 from .saddles import saddle_table
 from .valleys import decompose_all, outer_boundary
 from .verifydata import FixtureSet
@@ -173,18 +173,7 @@ def _valley_invariants(l, f, table, decomps) -> str | None:
 
 def _connected_subset(l, members) -> bool:
     members = set(members)
-    if not members:
-        return True
-    start = next(iter(members))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in l.neighbors[v]:
-            if u in members and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen == members
+    return not members or reachable(l, next(iter(members)), members) == members
 
 
 # --- criterion 3: golden fixtures -----------------------------------------
@@ -565,24 +554,8 @@ def run_acceptance(only=None, beta_grid=None) -> dict:
     return {
         "config": {"only": sorted(only) if only else None,
                    "beta_grid": list(map(float, beta_grid)) if beta_grid is not None else None},
-        "criteria": [{"name": r.name, "passed": bool(r.passed), "details": _plain(r.details)}
+        "criteria": [{"name": r.name, "passed": bool(r.passed), "details": r.details}
                      for r in results],
         "all_passed": bool(all(r.passed for r in results)),
     }
 
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else repr(v)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, frozenset):
-        return sorted(obj)
-    return obj

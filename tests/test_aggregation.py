@@ -441,3 +441,15 @@ def test_find_metabasins_with_table_runs_no_pair_sweep(L14X, monkeypatch):
     report = find_metabasins(L14X.l, 2.5, L14X.f, L14X.decomps, L14X.table)
     assert report.level is not None
     assert calls == []
+
+
+def test_exact_laws_raise_when_the_exit_mass_is_lost(L14X):
+    # at beta 20 the exit mass of V(4) at level 6 is below one ulp of its
+    # in-valley mass: the solve returns no positive exit probability at all
+    ms = ms_at(L14X, 6)
+    model = build_metropolis(L14X.l, 20.0)
+    m4 = L14X.l.index_of_label(4)
+    with pytest.raises(ValueError, match="total mass"):
+        exact_jump_distribution(model, ms, m4)
+    with pytest.raises(ValueError, match="total mass"):
+        exact_valley_transition(model, ms, m4)

@@ -160,3 +160,9 @@ def test_invalid_queries():
         HittingQuery(0, set(), {1})
     with pytest.raises(ValueError):
         HittingQuery(0, {1}, {1})
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_build_metropolis_rejects_bad_beta(L6, beta):
+    with pytest.raises(ValueError, match="beta must be"):
+        build_metropolis(L6.l, beta)

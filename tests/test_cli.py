@@ -1,6 +1,13 @@
+import importlib
+import importlib.util
 import json
+import math
+from pathlib import Path
 
-from metabasins.cli import main
+import numpy as np
+import pytest
+
+from metabasins.cli import _plain, build_parser, main
 
 
 def run(args):
@@ -133,3 +140,77 @@ def test_verify_serializes_counting_criteria(tmp_path):
     assert run(["verify", "--only", "bound-domination", "--out", str(out)]) == 0
     report = json.loads((out / "verify.json").read_text())
     assert report["criteria"][0]["passed"] is True
+
+
+@pytest.mark.parametrize("level", ["-1", "0", "99"])
+def test_aggregate_rejects_level_out_of_range(tmp_path, capsys, level):
+    out = tmp_path / "agg"
+    assert run(["aggregate", "--canonical", "L14X", "--level", level,
+                "--out", str(out)]) == 2
+    assert f"--level must be between 1 and 7, got {level}" in capsys.readouterr().err
+    assert not (out / "phat.json").exists()
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_simulate_rejects_non_finite_beta(tmp_path, capsys, beta):
+    assert run(["simulate", "--canonical", "L14X", "--beta", beta,
+                "--out", str(tmp_path / "sim")]) == 2
+    assert "beta must be finite" in capsys.readouterr().err
+
+
+def test_simulate_rejects_unknown_start_label(tmp_path, capsys):
+    assert run(["simulate", "--canonical", "L14X", "--start", "99",
+                "--out", str(tmp_path / "sim")]) == 2
+    assert "error: no state with label 99" in capsys.readouterr().err
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    source = {"--landscape", "--canonical", "--out"}
+    expected = {
+        "analyze": source,
+        "simulate": source | {"--beta", "--seed", "--steps", "--start"},
+        "aggregate": source | {"--beta", "--level"},
+        "mb": source | {"--eps"},
+        "verify": {"--out", "--only", "--beta-grid"},
+        "report": {"--out"},
+    }
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    got = {name: {opt for a in sp._actions for opt in a.option_strings
+                  if a.dest != "help"}
+           for name, sp in sub.choices.items()}
+    assert got == expected
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["verify", "--level", "3"])
+
+
+def test_commands_dispatch_through_module_names(tmp_path, monkeypatch):
+    # the benchmark's tracer counts calls by rebinding cli.cmd_*
+    from metabasins import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "cmd_report", lambda args: calls.append(args.out) or 0)
+    assert run(["report", "--out", str(tmp_path)]) == 0
+    assert calls == [str(tmp_path)]
+
+
+def test_plain_json_values():
+    got = _plain({1: np.float64(math.inf), "f": frozenset({3, 1}), "i": np.int64(4),
+                  "b": np.bool_(True), "x": (1 / 3, -math.inf, math.nan)})
+    assert got == {"1": "inf", "f": [1, 3], "i": 4, "b": True,
+                   "x": [0.333333333333, "-inf", "nan"]}
+    assert type(got["i"]) is int and type(got["b"]) is bool
+    json.dumps(got)
+
+
+def test_benchmark_entry_points_resolve():
+    # the benchmark's tracer wraps these by name; a missing one would drop
+    # its per-layer metrics without an error
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.ENTRY_POINTS
+    for entry in spans.ENTRY_POINTS:
+        mod_name, fn_name = entry.split(".")
+        module = importlib.import_module(f"metabasins.{mod_name}")
+        assert callable(getattr(module, fn_name, None)), entry
