@@ -91,29 +91,22 @@ def project_trajectory(states, ms: MetastateSpace):
     the AC read at sigma. Entrance times xi mark the first step inside a
     valley after an excursion through non-assigned states, exit times zeta the
     first step back in the non-assigned set; both use the first-hit convention
-    n >= 1.
+    n >= 1, i.e. they are the change points of the non-assigned indicator
+    with X_0 counted as non-assigned whatever it is.
     """
     x = np.asarray(states, dtype=int)
     ybar = ms.rep_of[x]
-    sigma = [0]
-    for k in range(1, len(x)):
-        if ybar[k] != ybar[k - 1]:
-            sigma.append(k)
-    y = tuple(int(ybar[k]) for k in sigma)
-    in_n = np.array([s in ms.nonassigned for s in x])
-    xi: list[int] = []
-    zeta: list[int] = []
-    k = 1
-    looking_for_entry = True
-    while k < len(x):
-        if looking_for_entry and not in_n[k]:
-            xi.append(k)
-            looking_for_entry = False
-        elif not looking_for_entry and in_n[k]:
-            zeta.append(k)
-            looking_for_entry = True
-        k += 1
-    return ybar, StoppingTimes(tuple(xi), tuple(zeta), tuple(sigma)), y
+    sigma = np.concatenate(([0], np.flatnonzero(ybar[1:] != ybar[:-1]) + 1))
+    y = tuple(ybar[sigma].tolist())
+    outside = np.zeros(len(ms.rep_of), dtype=bool)
+    outside[list(ms.nonassigned)] = True
+    in_n = outside[x]
+    in_n[0] = True
+    flips = np.flatnonzero(in_n[1:] != in_n[:-1]) + 1
+    entering = ~in_n[flips]
+    stop = StoppingTimes(tuple(flips[entering].tolist()), tuple(flips[~entering].tolist()),
+                         tuple(sigma.tolist()))
+    return ybar, stop, y
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,14 +6,25 @@ needed, add exact geometric holding times; this is distribution-exact for
 hitting races, exit times and for the block structure below, while staying
 feasible at large beta where the lazy chain would sit still for e^{50+} steps.
 
+One class, ``JumpWalker``, walks the embedded chain: it builds the per-model
+tables once, gives each replica its own buffered uniform stream, and moves
+by a single rule in a single loop that walks until a labelling of the states
+has changed K times. ``run_until_sigma`` (labelling: the metastate map),
+``estimate_hitting`` (the indicator of the targets and competitors) and
+``aac_return_frequency`` all walk through it; ``aac_return_frequency`` keeps
+the whole walk in memory (about 1.3M states for c12 at its MB level).
+
 The path-dependent blocks of a trajectory cut it at the indices whose tail
 never revisits an earlier state. A cut can never fall inside a run of
 repeated states, so the blocks, as sets, are invariant under collapsing
 self-loops; the naive reference implementation is kept for testing that.
+``compare_mb`` projects each trajectory once and hands its AAC on to
+``pd_vs_pid_frequencies``.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -30,7 +41,6 @@ class Trajectory:
     beta: float
     seed: int
     start: int
-    kind: str = "lazy"   # "lazy" or "jump" (self-loops collapsed)
 
     def __len__(self):
         return len(self.states)
@@ -54,83 +64,111 @@ def run_metropolis(model: TransitionModel, start: int, steps: int, seed: int) ->
     for k in range(steps):
         cur = int(np.searchsorted(cums[cur], us[k], side="right"))
         out[k + 1] = cur
-    return Trajectory(out, model.beta, seed, start, "lazy")
+    return Trajectory(out, model.beta, seed, start)
 
 
-class _ChainTables:
-    """Per-model embedded-chain tables, reusable across replica streams."""
+class JumpWalker:
+    """Embedded jump chain of one model, walked on a buffered uniform stream.
+
+    ``JumpWalker(model)`` builds the tables: per state its neighbours, their
+    cumulative embedded probabilities (the last one exactly 1.0) and the
+    self-loop probability p(r, r). ``stream(rng)`` returns a walker on the
+    same tables with its own stream: an empty buffer refilled from ``rng`` in
+    chunks of 64 values, growing fourfold up to 65536, so short replicas stay
+    cheap. A move from r takes the next uniform u and goes to the first
+    neighbour whose cumulative probability reaches u.
+    """
 
     def __init__(self, model: TransitionModel):
-        self.neighbors = []
-        self.cums = []
-        self.stay = []       # p(r, r)
         P = model.P
-        for r in range(model.n):
-            ns = list(model.landscape.neighbors[r])
-            mass = float(off_diagonal_row_sums(P, [r])[0])
-            acc, c = [], 0.0
-            for s in ns:
-                c += float(P[r, s])
-                acc.append(c / mass)
+        self._neighbors = [list(ns) for ns in model.landscape.neighbors]
+        self._cums = []
+        for r, ns in enumerate(self._neighbors):
+            acc = (np.cumsum(P[r, ns]) / off_diagonal_row_sums(P, [r])[0]).tolist()
             acc[-1] = 1.0
-            self.neighbors.append(ns)
-            self.cums.append(acc)
-            self.stay.append(float(P[r, r]))
-
-
-class _JumpSampler:
-    """Embedded chain walk over shared tables with a buffered uniform stream."""
-
-    def __init__(self, model: TransitionModel, rng: np.random.Generator,
-                 tables: _ChainTables | None = None):
-        self.rng = rng
-        t = tables if tables is not None else _ChainTables(model)
-        self.neighbors = t.neighbors
-        self.cums = t.cums
-        self.stay = t.stay
+            self._cums.append(acc)
+        self._stay = np.diag(P).tolist()
+        self._own = list(range(model.n))   # every state its own label
+        self._rng: np.random.Generator | None = None
         self._buf: list[float] = []
         self._pos = 0
-        self._chunk = 64   # grows geometrically; short replicas stay cheap
+        self._chunk = 64
 
-    def refill(self) -> None:
-        self._buf = self.rng.random(self._chunk).tolist()
+    def stream(self, rng: np.random.Generator) -> JumpWalker:
+        """A walker on these tables drawing from ``rng``, buffer empty."""
+        walker = copy.copy(self)
+        walker._rng, walker._buf, walker._pos, walker._chunk = rng, [], 0, 64
+        return walker
+
+    def _refill(self) -> None:
+        if self._rng is None:
+            raise ValueError("the walker has no stream; call stream(rng) first")
+        self._buf = self._rng.random(self._chunk).tolist()
         self._pos = 0
         self._chunk = min(self._chunk * 4, 65536)
 
     def uniform(self) -> float:
         if self._pos >= len(self._buf):
-            self.refill()
+            self._refill()
         u = self._buf[self._pos]
         self._pos += 1
         return u
 
+    def walk(self, start: int, label, K: int, max_steps: int = 50_000_000) -> list[int]:
+        """States from ``start`` up to and including the K-th change of
+        ``label[state]``; the walk reads the stream from its current position."""
+        # the loop runs for ~e^{beta * gap} steps per valley exit; keep it flat
+        neighbors = self._neighbors
+        cums = self._cums
+        buf = self._buf
+        pos = self._pos
+        nbuf = len(buf)
+        states = [start]
+        append = states.append
+        cur = start
+        cur_label = label[start]
+        changes = 0
+        steps = 0
+        try:
+            while changes < K:
+                if pos >= nbuf:
+                    self._refill()
+                    buf = self._buf
+                    nbuf = len(buf)
+                    pos = 0
+                u = buf[pos]
+                pos += 1
+                row = cums[cur]
+                i = 0
+                while row[i] < u:
+                    i += 1
+                cur = neighbors[cur][i]
+                append(cur)
+                lab = label[cur]
+                if lab != cur_label:
+                    changes += 1
+                    cur_label = lab
+                steps += 1
+                if steps > max_steps:
+                    raise RuntimeError(f"walk budget of {max_steps} steps exhausted "
+                                       f"before the {K}-th label change")
+        finally:
+            self._pos = pos   # the stream goes on from here
+        return states
+
     def step(self, r: int) -> int:
-        u = self.uniform()
-        for a, s in zip(self.cums[r], self.neighbors[r]):
-            if u <= a:
-                return s
-        return self.neighbors[r][-1]
+        """One jump: a walk until the state itself changes once."""
+        return self.walk(r, self._own, 1)[-1]
 
     def holding(self, r: int) -> float:
         """Lazy steps spent at r before moving, a Geometric(1 - p(r,r)) draw."""
-        p = self.stay[r]
+        p = self._stay[r]
         if p <= 0.0:
             return 1.0
         u = self.uniform()
         while u <= 0.0:
             u = self.uniform()
         return 1.0 + math.floor(math.log(u) / math.log(p))
-
-
-def run_jump_chain(model: TransitionModel, start: int, steps: int, seed: int) -> Trajectory:
-    sampler = _JumpSampler(model, np.random.default_rng(seed))
-    out = np.empty(steps + 1, dtype=int)
-    out[0] = start
-    cur = start
-    for k in range(steps):
-        cur = sampler.step(cur)
-        out[k + 1] = cur
-    return Trajectory(out, model.beta, seed, start, "jump")
 
 
 @dataclass(frozen=True)
@@ -201,86 +239,49 @@ def estimate_hitting(model: TransitionModel, x: int, targets, competitors,
         raise ValueError("reps must be positive")
     A = frozenset(targets)
     B = frozenset(competitors)
+    stop = [s in A or s in B for s in range(model.n)]
     cums_full = np.cumsum(model.P, axis=1)
-    tables = _ChainTables(model)
+    walker = JumpWalker(model)
     hits = 0
     for k in range(reps):
-        sampler = _JumpSampler(model, replica_rng(seed, k), tables)
+        w = walker.stream(replica_rng(seed, k))
         # one literal lazy first step honours the first-return convention
-        cur = int(np.searchsorted(cums_full[x], sampler.uniform(), side="right"))
-        while cur not in A and cur not in B:
-            cur = sampler.step(cur)
+        cur = int(np.searchsorted(cums_full[x], w.uniform(), side="right"))
+        if not stop[cur]:
+            cur = w.walk(cur, stop, 1)[-1]
         hits += cur in A
     p = hits / reps
     return p, math.sqrt(p * (1 - p) / reps)
 
 
-def sample_exit_time(sampler: _JumpSampler, start: int, nonassigned: frozenset[int]) -> float:
+def sample_exit_time(walker: JumpWalker, start: int, nonassigned: frozenset[int]) -> float:
     time = 0.0
     cur = start
     while cur not in nonassigned:
-        time += sampler.holding(cur)
-        cur = sampler.step(cur)
+        time += walker.holding(cur)
+        cur = walker.step(cur)
     return time
 
 
 def estimate_exit_time(model: TransitionModel, d, m: int,
                        reps: int, seed: int) -> tuple[float, float]:
     """Mean lazy-time exit from the valley of m (first entry into the
-    non-assigned set); ``d`` is anything exposing ``nonassigned``."""
-    if reps < 1:
-        raise ValueError("reps must be positive")
+    non-assigned set) with its standard error; ``d`` is anything exposing
+    ``nonassigned``. The standard error needs ``reps >= 2``."""
+    if reps < 2:
+        raise ValueError("reps must be at least 2 for a standard error")
     nonassigned = frozenset(d.nonassigned)
     samples = np.empty(reps)
-    tables = _ChainTables(model)
+    walker = JumpWalker(model)
     for k in range(reps):
-        sampler = _JumpSampler(model, replica_rng(seed, k), tables)
-        samples[k] = sample_exit_time(sampler, m, nonassigned)
+        samples[k] = sample_exit_time(walker.stream(replica_rng(seed, k)), m, nonassigned)
     return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(reps))
 
 
-def run_until_sigma(model: TransitionModel, ms: MetastateSpace, start: int,
-                    K: int, seed: int, max_steps: int = 50_000_000,
-                    sampler: _JumpSampler | None = None) -> np.ndarray:
+def run_until_sigma(walker: JumpWalker, ms: MetastateSpace, start: int,
+                    K: int, max_steps: int = 50_000_000) -> np.ndarray:
     """Jump-chain trajectory from ``start`` up to and including its K-th AC change."""
-    if sampler is None:
-        sampler = _JumpSampler(model, np.random.default_rng(seed))
-    # the inner loop runs for ~e^{beta * gap} steps per valley exit; keep it flat
-    neighbors = sampler.neighbors
-    cums = sampler.cums
-    rng = sampler.rng
-    rep = ms.rep_of.tolist()
-    states = [start]
-    append = states.append
-    cur = start
-    cur_m = rep[start]
-    changes = 0
-    buf: list[float] = []
-    pos = nbuf = 0
-    steps = 0
-    while changes < K:
-        if pos >= nbuf:
-            sampler.refill()
-            buf = sampler._buf
-            nbuf = len(buf)
-            pos = 0
-        u = buf[pos]
-        pos += 1
-        row = cums[cur]
-        i = 0
-        while row[i] < u:
-            i += 1
-        cur = neighbors[cur][i]
-        append(cur)
-        m = rep[cur]
-        if m != cur_m:
-            changes += 1
-            cur_m = m
-        steps += 1
-        if steps > max_steps:
-            raise RuntimeError("trajectory budget exhausted before the K-th jump")
-    sampler._pos = pos   # keep the shared stream consistent for later use
-    return np.asarray(states, dtype=int)
+    return np.asarray(walker.walk(start, ms.rep_of.tolist(), K, max_steps), dtype=int)
 
 
 def strict_basins_for(ms: MetastateSpace, decomps: list[ValleyDecomposition]) -> dict[int, frozenset[int]]:
@@ -301,6 +302,7 @@ class MBComparison:
     blocks_in_valleys_full: bool        # same for j <= K-1
     straddling_blocks: int
     revisit_occurred: bool
+    aac: tuple[int, ...]                # Y_0, Y_1, ... of the whole trajectory
 
 
 def compare_mb(states, ms: MetastateSpace, K: int,
@@ -329,7 +331,7 @@ def compare_mb(states, ms: MetastateSpace, K: int,
         if sum(1 for v in valley_sets if b & v) >= 2
     )
     revisit = len(set(y[: K + 1])) < len(y[: K + 1])
-    return MBComparison(inner, open_ok, full_ok, straddle, revisit)
+    return MBComparison(inner, open_ok, full_ok, straddle, revisit, y)
 
 
 def pd_vs_pid_frequencies(model: TransitionModel, ms: MetastateSpace,
@@ -344,15 +346,14 @@ def pd_vs_pid_frequencies(model: TransitionModel, ms: MetastateSpace,
     count_c = 0
     y1_counts: dict[int, int] = {}
     entry_counts: dict[int, int] = {}
-    tables = _ChainTables(model)
+    walker = JumpWalker(model)
     for k in range(reps):
-        sampler = _JumpSampler(model, replica_rng(seed, k), tables)
-        states = run_until_sigma(model, ms, start, K, seed, sampler=sampler)
+        states = run_until_sigma(walker.stream(replica_rng(seed, k)), ms, start, K)
         cmp = compare_mb(states, ms, K, strict_of)
         count_a += np.asarray(cmp.inner_in_block, dtype=float)
         count_b += cmp.blocks_in_valleys_open
         count_c += cmp.blocks_in_valleys_full
-        _, _, y = project_trajectory(states, ms)
+        y = cmp.aac
         y1_counts[y[1]] = y1_counts.get(y[1], 0) + 1
         first_valley = next((m for m in y[1:] if m not in ms.nonassigned), None)
         if first_valley is not None:
@@ -362,15 +363,11 @@ def pd_vs_pid_frequencies(model: TransitionModel, ms: MetastateSpace,
 
 def aac_return_frequency(model: TransitionModel, ms: MetastateSpace, start: int,
                          n_jumps: int, seed: int) -> float:
-    """Frequency of immediate AAC returns Y_{k+2} = Y_k along one long run."""
-    sampler = _JumpSampler(model, np.random.default_rng(seed))
-    rep = ms.rep_of.tolist()
-    y = [rep[start]]
-    cur = start
-    while len(y) < n_jumps + 1:
-        cur = sampler.step(cur)
-        m = rep[cur]
-        if m != y[-1]:
-            y.append(m)
+    """Frequency of immediate AAC returns Y_{k+2} = Y_k over the first
+    ``n_jumps`` AAC jumps of one run, which is held in memory whole."""
+    if n_jumps < 2:
+        raise ValueError("n_jumps must be at least 2 to see a return")
+    walker = JumpWalker(model).stream(np.random.default_rng(seed))
+    _, _, y = project_trajectory(run_until_sigma(walker, ms, start, n_jumps), ms)
     returns = sum(1 for k in range(len(y) - 2) if y[k + 2] == y[k])
     return returns / (len(y) - 2)

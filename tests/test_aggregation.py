@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metabasins import reference, saddles
 from metabasins.aggregation import (
     MetastateSpace,
+    StoppingTimes,
     asymptotic_jump_chain,
     exact_jump_distribution,
     exact_valley_transition,
@@ -60,6 +63,53 @@ def test_project_constant_trajectory(L6):
     _, stop, y = project_trajectory([2] * 10, ms)
     assert y == (0,)
     assert stop.sigma == (0,)
+
+
+def project_trajectory_oracle(states, ms):
+    """The definitions read literally: a loop over the walk, a set test per
+    state and an entry/exit state machine started as if X_0 were outside."""
+    ybar = [int(ms.rep_of[s]) for s in states]
+    sigma = [0] + [k for k in range(1, len(states)) if ybar[k] != ybar[k - 1]]
+    xi, zeta = [], []
+    looking_for_entry = True
+    for k in range(1, len(states)):
+        if looking_for_entry and states[k] not in ms.nonassigned:
+            xi.append(k)
+            looking_for_entry = False
+        elif not looking_for_entry and states[k] in ms.nonassigned:
+            zeta.append(k)
+            looking_for_entry = True
+    return ybar, StoppingTimes(tuple(xi), tuple(zeta), tuple(sigma)), tuple(ybar[k] for k in sigma)
+
+
+def assert_projection_matches_oracle(states, ms):
+    ybar, stop, y = project_trajectory(states, ms)
+    want_ybar, want_stop, want_y = project_trajectory_oracle(states, ms)
+    assert ybar.tolist() == want_ybar
+    assert stop == want_stop
+    assert y == want_y
+    assert all(type(v) is int for v in y + stop.xi + stop.zeta + stop.sigma)
+
+
+@pytest.mark.parametrize("states", [
+    [0], [3], [3, 3, 3],             # length 1 and constant, valley and non-assigned
+    [0, 1, 0, 1, 2], [4, 5, 4],      # inside one valley throughout
+    [0, 1, 2, 3, 4, 5, 4, 3, 2],     # starts in a valley, crosses twice
+    [3, 4, 3, 2, 3, 3, 4],           # starts on the non-assigned state
+])
+def test_project_trajectory_edge_cases(L6, states):
+    ms = ms_at(L6, 2)
+    assert ms.nonassigned == {3}
+    assert_projection_matches_oracle(states, ms)
+
+
+@pytest.mark.parametrize("name,level", [("L6", 1), ("L6", 2), ("L14X", 1), ("L14X", 5)])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_project_trajectory_matches_loop_oracle(L6, L14X, name, level, data):
+    fx = {"L6": L6, "L14X": L14X}[name]
+    states = data.draw(st.lists(st.integers(0, fx.l.n - 1), min_size=1, max_size=60))
+    assert_projection_matches_oracle(states, ms_at(fx, level))
 
 
 def test_stopping_time_sanity_random(L6):
@@ -131,11 +181,10 @@ def test_valley_transition_monte_carlo_beta10(L6):
     ms = ms_at(L6, 2)
     model = build_metropolis(L6.l, beta=10.0)
     reps = 200
-    tables = simulate._ChainTables(model)
+    walker = simulate.JumpWalker(model)
     counts = {0: 0, 4: 0}
     for k in range(reps):
-        sampler = simulate._JumpSampler(model, simulate.replica_rng(777, k), tables)
-        states = simulate.run_until_sigma(model, ms, 0, 2, seed=0, sampler=sampler)
+        states = simulate.run_until_sigma(walker.stream(simulate.replica_rng(777, k)), ms, 0, 2)
         _, _, y = project_trajectory(states, ms)
         first_valley = next(m for m in y[1:] if m not in ms.nonassigned)
         counts[first_valley] += 1
@@ -359,25 +408,24 @@ def test_semi_markov_law_invariant_along_run(shallow6):
     decomps = decompose_all(shallow6, f)
     ms = metastate_space(decomps[1], f)
     model = build_metropolis(shallow6, beta=8.0)
-    tables = simulate._ChainTables(model)
-    sampler = simulate._JumpSampler(model, np.random.default_rng(2024), tables)
+    walker = simulate.JumpWalker(model).stream(np.random.default_rng(2024))
     rep = ms.rep_of.tolist()
     # walk the jump chain with holding times; record AC sojourns and triples
     cur = 0
     cur_m = rep[0]
     segments = []   # (triple, sojourn)
-    hold = sampler.holding(cur)
+    hold = walker.holding(cur)
     path_m = [cur_m]
     sojourns = [hold]
     while len(segments) < 10_000:
-        cur = sampler.step(cur)
+        cur = walker.step(cur)
         m = rep[cur]
         if m == cur_m:
-            sojourns[-1] += sampler.holding(cur)
+            sojourns[-1] += walker.holding(cur)
             continue
         cur_m = m
         path_m.append(m)
-        sojourns.append(sampler.holding(cur))
+        sojourns.append(walker.holding(cur))
         if len(path_m) >= 3:
             segments.append(((path_m[-3], path_m[-2], path_m[-1]), sojourns[-2]))
     by_triple = {}

@@ -8,19 +8,21 @@ from hypothesis import strategies as st
 from metabasins import simulate
 from metabasins.aggregation import (
     exact_jump_distribution,
+    find_metabasins,
     metastate_space,
     project_trajectory,
 )
 from metabasins.analysis import ols_slope
 from metabasins.chain import build_metropolis, expected_hitting_time, hitting_probability, HittingQuery
 from metabasins.simulate import (
+    JumpWalker,
     compare_mb,
     estimate_exit_time,
     estimate_hitting,
     path_dependent_mb,
     path_dependent_mb_naive,
-    run_jump_chain,
     run_metropolis,
+    run_until_sigma,
     strict_basins_for,
 )
 
@@ -68,11 +70,45 @@ def test_trajectory_row_frequencies(L6):
         assert abs(freq - 1 / 3) <= 4 * sigma
 
 
+def walker_on(model, seed):
+    return JumpWalker(model).stream(np.random.default_rng(seed))
+
+
 def test_jump_chain_never_stalls(L6):
     model = build_metropolis(L6.l, 3.0)
-    t = run_jump_chain(model, 0, 2000, seed=4)
-    assert all(x != y for x, y in zip(t.states, t.states[1:]))
-    assert all(y in L6.l.neighbors[x] for x, y in zip(t.states, t.states[1:]))
+    states = run_until_sigma(walker_on(model, 4), ms_at(L6, 1), 0, 200)
+    assert len(states) > 200
+    assert all(x != y for x, y in zip(states, states[1:]))
+    assert all(y in L6.l.neighbors[x] for x, y in zip(states, states[1:]))
+
+
+def test_walk_continues_the_stream_like_single_steps(L14X):
+    # a stream that has already drawn one uniform (the lazy first step of
+    # estimate_hitting) walks on from the next buffered value, exactly as
+    # repeated single jumps on the same seed
+    model = build_metropolis(L14X.l, 6.0)
+    ms = ms_at(L14X, 5)
+    start = L14X.l.index_of_label(4)
+    walker = JumpWalker(model)
+    for seed in (0, 1, 2):
+        w = walker.stream(np.random.default_rng(seed))
+        w.uniform()
+        states = run_until_sigma(w, ms, start, 3)
+        assert len(states) > 64   # the walk runs past the first 64-value chunk
+        w = walker.stream(np.random.default_rng(seed))
+        w.uniform()
+        stepped = [start]
+        for _ in range(len(states) - 1):
+            stepped.append(w.step(stepped[-1]))
+        assert states.tolist() == stepped
+
+
+def test_walk_budget_and_unseeded_walker(L6):
+    model = build_metropolis(L6.l, 3.0)
+    with pytest.raises(RuntimeError):
+        walker_on(model, 1).walk(0, [0] * 6, 1, max_steps=100)
+    with pytest.raises(ValueError):
+        JumpWalker(model).step(0)
 
 
 def test_path_dependent_mb_by_hand():
@@ -151,6 +187,13 @@ def test_estimate_exit_time_against_solver(L6):
     assert quick[0] >= 1.0
 
 
+@pytest.mark.parametrize("reps", [-1, 0, 1])
+def test_estimate_exit_time_needs_two_replicas(L6, reps):
+    # one replica has no standard error; it must not come back as nan
+    with pytest.raises(ValueError):
+        estimate_exit_time(build_metropolis(L6.l, 1.0), L6.decomps[1], 4, reps=reps, seed=1)
+
+
 def test_exit_time_slope_monte_carlo(L6):
     # redundant MC version of the exact-solver slope check, on a feasible grid
     d = L6.decomps[1]
@@ -168,7 +211,7 @@ def test_compare_mb_first_window(L6):
     ms = ms_at(L6, 2)
     model = build_metropolis(L6.l, 4.0)
     strict_of = strict_basins_for(ms, L6.decomps)
-    states = simulate.run_until_sigma(model, ms, 4, 1, seed=2)
+    states = run_until_sigma(walker_on(model, 2), ms, 4, 1)
     cmp1 = compare_mb(states, ms, 1, strict_of)
     # the walk stayed in the first valley until the single change point, so its
     # block is contained in that valley
@@ -198,12 +241,11 @@ def test_empirical_jump_law_approaches_limit(L14X):
     tvs = []
     for beta in (1.5, 3.0):
         model = build_metropolis(L14X.l, beta)
-        tables = simulate._ChainTables(model)
+        walker = JumpWalker(model)
         counts = {}
         reps = 500
         for k in range(reps):
-            sampler = simulate._JumpSampler(model, simulate.replica_rng(50, k), tables)
-            states = simulate.run_until_sigma(model, ms, start, 1, seed=0, sampler=sampler)
+            states = run_until_sigma(walker.stream(simulate.replica_rng(50, k)), ms, start, 1)
             _, _, y = project_trajectory(states, ms)
             counts[y[1]] = counts.get(y[1], 0) + 1
         tv = 0.5 * sum(abs(counts.get(m, 0) / reps - (1.0 if m == gate else 0.0))
@@ -219,3 +261,54 @@ def test_aac_return_frequency_reproducible(L14X):
     f1 = simulate.aac_return_frequency(model, ms, start, 300, seed=5)
     f2 = simulate.aac_return_frequency(model, ms, start, 300, seed=5)
     assert f1 == f2
+
+
+@pytest.mark.parametrize("n_jumps", [-1, 0, 1])
+def test_aac_return_frequency_needs_two_jumps(L14X, n_jumps):
+    model = build_metropolis(L14X.l, 8.0)
+    with pytest.raises(ValueError):
+        simulate.aac_return_frequency(model, ms_at(L14X, 1), L14X.l.index_of_label(4),
+                                      n_jumps, seed=5)
+
+
+def test_pd_vs_pid_projects_each_trajectory_once(L14X, monkeypatch):
+    calls = []
+
+    def counted(states, ms):
+        calls.append(len(states))
+        return project_trajectory(states, ms)
+
+    monkeypatch.setattr(simulate, "project_trajectory", counted)
+    ms = ms_at(L14X, 5)
+    model = build_metropolis(L14X.l, 4.0)
+    simulate.pd_vs_pid_frequencies(model, ms, strict_basins_for(ms, L14X.decomps),
+                                   L14X.l.index_of_label(4), 3, reps=7, seed=1)
+    assert len(calls) == 7
+
+
+# Values recorded before the walker refactor; any change in how the walk
+# consumes its uniform stream changes them. c11 and c12 only check
+# thresholds, so these pin the draws exactly.
+
+def test_pd_vs_pid_golden_l14x(L14X):
+    l = L14X.l
+    report = find_metabasins(l, 2.5, L14X.f, L14X.decomps, L14X.table)
+    assert report.level == 5
+    ms = ms_at(L14X, report.level)
+    model = build_metropolis(l, 10.0)
+    freq_a, freq_b, freq_c, y1, entry = simulate.pd_vs_pid_frequencies(
+        model, ms, strict_basins_for(ms, L14X.decomps), l.index_of_label(4),
+        K=3, reps=30, seed=20240)
+    assert freq_a.tolist() == [1.0, 1.0, 1.0]
+    assert (freq_b, freq_c) == (0.0, 0.0)
+    assert y1 == {4: 30}
+    assert entry == {3: 8, 5: 11, 9: 11}
+
+
+def test_aac_return_frequency_golden_c12(L14X):
+    model = build_metropolis(L14X.l, 8.0)
+    start = L14X.l.index_of_label(4)
+    f_mb = simulate.aac_return_frequency(model, ms_at(L14X, 5), start, 1500, seed=7)
+    f_l1 = simulate.aac_return_frequency(model, ms_at(L14X, 1), start, 1500, seed=7)
+    assert f_mb == 0.6731154102735156
+    assert f_l1 == 0.7491661107404937
