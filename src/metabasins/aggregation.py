@@ -290,7 +290,7 @@ def reciprocating_order_test(exps: ExponentMatrix, eps: float) -> RecipWitness |
     D); outside targets use D, which only underestimates the gap. If no exact
     inside exponent exists the subset is only accepted with a flag.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     mlist = exps.metastables
     if len(mlist) > 20:
@@ -357,7 +357,7 @@ def find_metabasins(l: Landscape, eps: float,
     least two unimodal escape targets (MB2). Levels above nlevels - 2 are
     never considered. Returns level None if no level qualifies.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if table is None:
         table = saddle_table(l)

@@ -64,8 +64,17 @@ def _load(args) -> Landscape:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    lo, hi, n = text.split(":")
-    return np.linspace(float(lo), float(hi), int(n))
+    """``lo:hi:n`` as n evenly spaced values from lo to hi."""
+    try:
+        lo, hi, n = text.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+        ok = 0 < lo < hi < math.inf and n >= 2
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(f"--beta-grid must be lo:hi:n with finite 0 < lo < hi "
+                         f"and an integer n >= 2, got {text!r}")
+    return np.linspace(lo, hi, n)
 
 
 def cmd_analyze(args) -> int:

@@ -7,8 +7,11 @@ so for an adjacent pair the saddle is the higher endpoint. This keeps the
 table symmetric and makes the saddle energy of a valley bottom to its own
 outer boundary equal to the boundary state's energy.
 
-Two independent algorithms are provided (a Kruskal-style union-find sweep and
-a minimax Dijkstra) so each can serve as an oracle for the other.
+One energy-stamped union-find sweep (``Sweep``, the merge forest of the
+sublevel sets) answers every saddle question: ``saddle_table`` replays its
+links, ``essential_saddle`` reads one pair from its root paths, and the valley
+layer asks it whether two states connect below a barrier outside a strict
+basin. A minimax Dijkstra is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -45,79 +48,99 @@ class SaddleTable:
     energy: np.ndarray
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.members = [[v] for v in range(n)]
+class Sweep:
+    """The increasing-energy merge forest of the states outside ``avoid``.
 
-    def find(self, v):
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
+    States enter in increasing energy. An entering state z is linked to each
+    active neighbour in another component: the smaller root points to the
+    larger (union by size, no path compression) and the link records z
+    (``via``) and E(z) (``stamp``); ``links`` lists the absorbed roots in the
+    order their links formed. Stamps are non-decreasing towards a root, so
+    following the links stamped <= e from s ends at the representative of s's
+    component in the sublevel set {x : E(x) <= e} minus ``avoid``.
+    """
 
-    def union(self, a, b):
-        """Merge the two roots, smaller member list into larger."""
-        if len(self.members[a]) < len(self.members[b]):
-            a, b = b, a
-        self.parent[b] = a
-        self.members[a].extend(self.members[b])
-        self.members[b] = []
-        return a
+    def __init__(self, l: Landscape, avoid=frozenset()):
+        energy = l.energy.tolist()
+        self.parent = parent = list(range(l.n))
+        self.stamp = stamp = [math.inf] * l.n
+        self.via = via = [-1] * l.n
+        self.links = links = []
+        size, active = [1] * l.n, [False] * l.n
+        for z in np.argsort(l.energy).tolist():
+            if z in avoid:
+                continue
+            active[z] = True
+            for u in l.neighbors[z]:
+                if not active[u]:
+                    continue
+                a, b = self._root(z, math.inf), self._root(u, math.inf)
+                if a == b:
+                    continue
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b], stamp[b], via[b] = a, energy[z], z
+                size[a] += size[b]
+                links.append(b)
 
+    def _root(self, v: int, e: float) -> int:
+        parent, stamp = self.parent, self.stamp
+        while parent[v] != v and stamp[v] <= e:
+            v = parent[v]
+        return v
 
-def _energy_order(l: Landscape):
-    return np.argsort(l.energy)
+    def root_path(self, v: int) -> list[int]:
+        """v and the roots it was linked under, up to its final root."""
+        path = [v]
+        while self.parent[v] != v:
+            v = self.parent[v]
+            path.append(v)
+        return path
+
+    def connected(self, s: int, t: int, e: float) -> bool:
+        """``sublevel_connected(l, s, t, e, avoid)`` for distinct s and t.
+
+        A state above e or avoided is never reached by a link stamped <= e,
+        so it is its own representative and joins nothing.
+        """
+        return self._root(s, e) == self._root(t, e)
 
 
 def saddle_table(l: Landscape) -> SaddleTable:
-    """Single increasing-energy sweep; pairs get their saddle at the merge event."""
+    """Replay of one sweep: the link of root b under root a first connects
+    members(a) x members(b), and those pairs get the state that formed it."""
     n = l.n
-    state = np.full((n, n), -1, dtype=int)
-    energy = np.full((n, n), np.nan)
-    uf = _UnionFind(n)
-    active = np.zeros(n, dtype=bool)
-    for z in _energy_order(l):
-        z = int(z)
-        active[z] = True
-        for u in l.neighbors[z]:
-            if not active[u]:
-                continue
-            rz, ru = uf.find(z), uf.find(u)
-            if rz == ru:
-                continue
-            for a in uf.members[rz]:
-                for b in uf.members[ru]:
-                    state[a, b] = state[b, a] = z
-                    energy[a, b] = energy[b, a] = l.energy[z]
-            uf.union(rz, ru)
-    for a in range(n):
-        state[a, a] = a
-        energy[a, a] = l.energy[a]
-    if state.min() < 0:
+    sweep = Sweep(l)
+    if len(sweep.links) < n - 1:
         raise LandscapeError("landscape not connected")
-    return SaddleTable(state, energy)
+    state = np.empty((n, n), dtype=int)
+    members = [[v] for v in range(n)]
+    for b in sweep.links:
+        a = sweep.parent[b]
+        A, B = members[a], members[b]
+        column = np.array(A)[:, None]
+        state[column, B] = state[B, column] = sweep.via[b]
+        A.extend(B)
+    np.fill_diagonal(state, np.arange(n))
+    return SaddleTable(state, l.energy[state])
 
 
 def essential_saddle(l: Landscape, r: int, s: int) -> tuple[int, float]:
-    """Saddle of one pair via the sweep, stopping as soon as r and s connect."""
+    """Saddle of one pair, read from one sweep.
+
+    The root paths of r and s meet at the first root that held both; the
+    latest formed link below that point on either path connected the pair.
+    """
     if r == s:
         raise ValueError("essential saddle of a state with itself is undefined")
-    uf = _UnionFind(l.n)
-    active = np.zeros(l.n, dtype=bool)
-    for z in _energy_order(l):
-        z = int(z)
-        active[z] = True
-        for u in l.neighbors[z]:
-            if active[u]:
-                ru, rz = uf.find(u), uf.find(z)
-                if ru != rz:
-                    uf.union(rz, ru)
-        if uf.find(r) == uf.find(s):
-            return z, float(l.energy[z])
-    raise ValueError("states not connected")
+    sweep = Sweep(l)
+    up_r, up_s = sweep.root_path(r), sweep.root_path(s)
+    shared = set(up_r) & set(up_s)
+    if not shared:
+        raise ValueError("states not connected")
+    below = [v for v in up_r + up_s if v not in shared]
+    z = sweep.via[max(below, key=sweep.links.index)]
+    return z, float(l.energy[z])
 
 
 def minimax_path(l: Landscape, r: int, s: int) -> PathRecord:

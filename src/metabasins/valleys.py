@@ -15,9 +15,9 @@ against literal path enumeration in the tests.
 
 Per level, strict basins and the least-saddle clause come from the saddle
 table's columns at M in one pass (row minimum, runner-up, argmin). The path
-clause is read from one energy-stamped union-find sweep per distinct strict
-basin, which also answers every barrier at once; ``decompose_all`` shares the
-sweeps across levels, since strict basins repeat.
+clause is read from the saddle sweep (``saddles.Sweep``) run once per distinct
+strict basin with that basin left out, which answers every barrier at once;
+``decompose_all`` shares the sweeps across levels, since strict basins repeat.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .filtration import Filtration
 from .landscape import Landscape
-from .saddles import SaddleTable, saddle_table
+from .saddles import SaddleTable, Sweep, saddle_table
 
 
 def strict_basin(l: Landscape, table: SaddleTable, M, m: int) -> frozenset[int]:
@@ -46,54 +46,6 @@ def strict_basin(l: Landscape, table: SaddleTable, M, m: int) -> frozenset[int]:
         if all(es < table.energy[s, mp] for mp in others):
             out.add(s)
     return frozenset(out)
-
-
-class _Sweep:
-    """Union-find over the states outside ``avoid``, each link stamped by energy.
-
-    States enter in increasing energy and a link records the energy of the
-    state whose entry formed it. Union by size without path compression keeps
-    the stamps non-decreasing towards a root, so following the links stamped
-    <= e from s ends at the representative of s's component in the sublevel
-    set {x : E(x) <= e} minus ``avoid``.
-    """
-
-    def __init__(self, l: Landscape, avoid):
-        energy = l.energy.tolist()
-        parent = list(range(l.n))
-        stamp = [math.inf] * l.n
-        size = [1] * l.n
-        active = [False] * l.n
-        self.parent, self.stamp = parent, stamp
-        for z in np.argsort(l.energy).tolist():
-            if z in avoid:
-                continue
-            active[z] = True
-            for u in l.neighbors[z]:
-                if not active[u]:
-                    continue
-                a, b = self._root(z, math.inf), self._root(u, math.inf)
-                if a == b:
-                    continue
-                if size[a] < size[b]:
-                    a, b = b, a
-                parent[b] = a
-                stamp[b] = energy[z]
-                size[a] += size[b]
-
-    def _root(self, v: int, e: float) -> int:
-        parent, stamp = self.parent, self.stamp
-        while parent[v] != v and stamp[v] <= e:
-            v = parent[v]
-        return v
-
-    def connected(self, s: int, t: int, e: float) -> bool:
-        """``sublevel_connected(l, s, t, e, avoid)`` for distinct s and t.
-
-        A state above e or avoided is never reached by a link stamped <= e,
-        so it is its own representative and joins nothing.
-        """
-        return self._root(s, e) == self._root(t, e)
 
 
 class _Level:
@@ -144,7 +96,7 @@ class _Level:
         basin = self.strict[m]
         sweep = self.sweeps.get(basin)
         if sweep is None:
-            sweep = self.sweeps[basin] = _Sweep(self.l, basin)
+            sweep = self.sweeps[basin] = Sweep(self.l, basin)
         return not any(sweep.connected(s, mp, self.least[s]) for mp in tied if mp != m)
 
     def target(self, s: int) -> int | None:
@@ -333,7 +285,7 @@ def connectivity_params(l: Landscape, ms, eps: float) -> tuple[int, int, int]:
     with energy at most E(gate) + eps. eta3: the least number of metastates a
     non-assigned state can enter through a neighbor at most eps above it.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     energy = l.energy
     eta1 = math.inf

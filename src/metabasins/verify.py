@@ -539,7 +539,14 @@ CRITERIA = {
 
 
 def run_acceptance(only=None, beta_grid=None) -> dict:
-    """Run the criteria; ``only`` filters by substring of the criterion name."""
+    """Run the criteria; ``only`` filters by substring of the criterion name.
+
+    A token of ``only`` that is part of no criterion name raises ValueError.
+    """
+    unknown = sorted(t for t in only or () if not any(t in name for name in CRITERIA))
+    if unknown:
+        raise ValueError(f"no criterion matches {', '.join(unknown)}; "
+                         f"known: {', '.join(CRITERIA)}")
     fx = FixtureSet.build()
     results = []
     for name, fn in CRITERIA.items():

@@ -276,6 +276,15 @@ def test_find_metabasins_l6_none(L6):
     assert report.level is None  # MB2 needs two targets
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+def test_eps_must_be_positive(L6, eps):
+    exps = transition_exponents(L6.l, ms_at(L6, 1), L6.table)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        find_metabasins(L6.l, eps, L6.f, L6.decomps, L6.table)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        reciprocating_order_test(exps, eps)
+
+
 def test_find_metabasins_l14x(L14X):
     report = find_metabasins(L14X.l, 2.5, L14X.f, L14X.decomps, L14X.table)
     lab = L14X.l.labels

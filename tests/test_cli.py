@@ -73,6 +73,14 @@ def test_mb_l14x(tmp_path, capsys):
     assert data["partition"]["4"] == [1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("eps", ["nan", "0", "-0.5"])
+def test_mb_rejects_non_positive_eps(tmp_path, capsys, eps):
+    out = tmp_path / "mb"
+    assert run(["mb", "--canonical", "L6", "--eps", eps, "--out", str(out)]) == 2
+    assert "eps must be positive" in capsys.readouterr().err
+    assert not (out / "mb.json").exists()
+
+
 def test_simulate_outputs(tmp_path):
     out = tmp_path / "sim"
     assert run(["simulate", "--canonical", "L6", "--beta", "1.0", "--steps", "200",
@@ -110,6 +118,25 @@ def test_verify_subset_and_grid_echo(tmp_path, capsys):
     # curve CSVs were exported for the slope criterion
     curves = list((out / "curves").glob("*.csv"))
     assert curves
+
+
+@pytest.mark.parametrize("grid", ["4:12:0", "4:12:1", "4:12", "4:12:5:1", "a:b:3",
+                                  "12:4:5", "0:12:5", "-4:12:5", "nan:12:5",
+                                  "4:inf:5", "4:12:2.5"])
+def test_verify_rejects_bad_beta_grid(tmp_path, capsys, grid):
+    out = tmp_path / "ver"
+    assert run(["verify", "--only", "aac", f"--beta-grid={grid}", "--out", str(out)]) == 2
+    assert "lo:hi:n" in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
+
+
+def test_verify_rejects_unknown_criterion(tmp_path, capsys):
+    out = tmp_path / "ver"
+    assert run(["verify", "--only", "golden,nosuch", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "nosuch" in err and "golden" not in err.split("known:")[0]
+    assert "saddle-oracle" in err and "reciprocating-jumps" in err
+    assert not (out / "verify.json").exists()
 
 
 def test_report_renders_svg(tmp_path):

@@ -47,10 +47,27 @@ def test_oracle_equivalence_small(seed):
             state, energy = reference.minimax_oracle(l, a, b)
             assert t.state[a, b] == state
             assert t.energy[a, b] == energy
+            # the single-pair reading of the sweep
+            assert essential_saddle(l, a, b) == (t.state[a, b], t.energy[a, b])
             # independent algorithm: minimax Dijkstra
             rec = minimax_path(l, a, b)
             assert rec.max_energy == energy
             assert max(rec.states, key=lambda s: l.energy[s]) == state
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_table_matches_minimax_dijkstra_at_n300(seed):
+    # the block fill of a 300-state sweep, far beyond the enumeration oracles
+    l = gen_random_landscape(300, 4, 0.05, seed=seed)
+    t = saddle_table(l)
+    assert (np.diag(t.state) == np.arange(l.n)).all()
+    assert (t.energy == l.energy[t.state]).all()
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        a, b = (int(v) for v in rng.choice(l.n, size=2, replace=False))
+        rec = minimax_path(l, a, b)
+        assert t.energy[a, b] == rec.max_energy
+        assert t.state[a, b] == t.state[b, a] == max(rec.states, key=lambda s: l.energy[s])
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -6,10 +6,9 @@ import pytest
 from metabasins import reference
 from metabasins.filtration import scoppola_filtration
 from metabasins.landscape import gen_random_landscape
-from metabasins.saddles import SaddleTable, saddle_table, sublevel_connected
+from metabasins.saddles import SaddleTable, Sweep, saddle_table, sublevel_connected
 from metabasins.valleys import (
     _Level,
-    _Sweep,
     attracted,
     build_tree,
     connectivity_params,
@@ -58,7 +57,7 @@ def test_swept_connectivity_matches_sublevel_bfs(seed):
     for _ in range(4):
         avoid = frozenset(int(v) for v in rng.choice(l.n, size=int(rng.integers(0, 5)),
                                                      replace=False))
-        sweep = _Sweep(l, avoid)
+        sweep = Sweep(l, avoid)
         for _ in range(20):
             s, t = (int(v) for v in rng.choice(l.n, size=2, replace=False))
             # energies themselves probe the inclusive end of the sublevel set
@@ -230,6 +229,13 @@ def test_connectivity_params_l6(L6):
     eta1, eta2, eta3 = connectivity_params(L6.l, ms, 1e9)
     assert eta2 == min(len(outer_boundary(L6.l, ms.valley_of[m]))
                        for m in ms.valley_metastates)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+def test_connectivity_params_eps_must_be_positive(L6, eps):
+    ms = metastate_space(L6.decomps[1], L6.f)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        connectivity_params(L6.l, ms, eps)
 
 
 def test_connectivity_params_l14x(L14X):
