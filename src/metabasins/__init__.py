@@ -26,7 +26,6 @@ from .chain import (
     gamma_beta,
     hitting_probability,
     occupation_distribution,
-    stationary,
 )
 from .filtration import Filtration, local_minima, scoppola_filtration
 from .landscape import (

@@ -5,10 +5,13 @@ The kernel is the lazy Metropolis chain
     p(r,s) = exp(-beta (E(s)-E(r))^+) / C(r)   for s ~ r,
     p(r,r) = 1 - sum of the above,
 
-with C(r) = |N(r)| + 1 so that p(r,r) > 0 on every graph. Hitting quantities
-use the first-return convention tau_A = inf{n >= 1 : X_n in A}; when the start
-state lies in A or B one explicit first step is taken before reading the
-absorption values.
+with C(r) = |N(r)| + 1 so that p(r,r) > 0 on every graph. ``P`` holds it
+dense for the exact solvers below. ``rows`` lists per state r the states r can
+move to (r included, in index order) with p(r, .) read from ``P``; it feeds
+``simulate.JumpWalker`` and ``aggregate``'s transition_matrix.csv. Hitting
+quantities use the first-return convention tau_A = inf{n >= 1 : X_n in A};
+when the start state lies in A or B one explicit first step is taken before
+reading the absorption values.
 
 Linear systems are assembled in one place, ``_absorbing_solve``, with
 diagonals built as sums of positive off-diagonal mass, never as 1 - p(r,r).
@@ -52,7 +55,7 @@ class TransitionModel:
     P: np.ndarray                    # row-stochastic kernel
     gamma_beta: float
     pi: np.ndarray                   # stationary distribution
-    P_star: np.ndarray               # entrywise beta -> infinity limit
+    rows: tuple[tuple[np.ndarray, np.ndarray], ...]   # per r: (states r moves to, p(r, .))
 
     @property
     def n(self) -> int:
@@ -74,22 +77,17 @@ def build_metropolis(l: Landscape, beta: float) -> TransitionModel:
     energy = l.energy
     C = np.array([len(nb) + 1 for nb in l.neighbors], dtype=float)
     P = np.zeros((n, n))
-    Pstar = np.zeros((n, n))
+    rows = []
     for r in range(n):
         for s in l.neighbors[r]:
             P[r, s] = math.exp(-beta * max(energy[s] - energy[r], 0.0)) / C[r]
-            if energy[r] >= energy[s]:
-                Pstar[r, s] = 1.0 / C[r]
         P[r, r] = 1.0 - P[r].sum()
-        Pstar[r, r] = 1.0 - Pstar[r].sum()
+        to = np.array(sorted((*l.neighbors[r], r)), dtype=int)
+        rows.append((to, P[r, to]))
     # pi(r) proportional to C(r) exp(-beta E(r)); shift by the minimum for stability
     w = C * np.exp(-beta * (energy - energy.min()))
     pi = w / w.sum()
-    return TransitionModel(l, float(beta), C, P, gamma_beta(l, beta), pi, Pstar)
-
-
-def stationary(model: TransitionModel) -> np.ndarray:
-    return model.pi
+    return TransitionModel(l, float(beta), C, P, gamma_beta(l, beta), pi, tuple(rows))
 
 
 def off_diagonal_row_sums(P: np.ndarray, rows) -> np.ndarray:

@@ -162,10 +162,8 @@ def cmd_aggregate(args) -> int:
     with open(Path(args.out) / "transition_matrix.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["from", "to", "p"])
-        for a in range(l.n):
-            for b in range(l.n):
-                if model.P[a, b] > 0:
-                    w.writerow([lab[a], lab[b], f"{model.P[a, b]:.12g}"])
+        for a, (to, p) in enumerate(model.rows):
+            w.writerows([lab[a], lab[b], f"{q:.12g}"] for b, q in zip(to, p) if q > 0)
     exps = transition_exponents(l, ms, table)
     mlist, limits = valley_transition_limits(ms, jc)
     _write_json(Path(args.out) / "exponents.json", {
@@ -203,7 +201,7 @@ def cmd_mb(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    only = set(args.only.split(",")) if args.only else None
+    only = set(args.only.split(",")) if args.only is not None else None
     grid = _parse_grid(args.beta_grid) if args.beta_grid else None
     report = verify.run_acceptance(only=only, beta_grid=grid)
     for crit in report["criteria"]:

@@ -6,13 +6,13 @@ needed, add exact geometric holding times; this is distribution-exact for
 hitting races, exit times and for the block structure below, while staying
 feasible at large beta where the lazy chain would sit still for e^{50+} steps.
 
-One class, ``JumpWalker``, walks the embedded chain: it builds the per-model
-tables once, gives each replica its own buffered uniform stream, and moves
-by a single rule in a single loop that walks until a labelling of the states
-has changed K times. ``run_until_sigma`` (labelling: the metastate map),
-``estimate_hitting`` (the indicator of the targets and competitors) and
-``aac_return_frequency`` all walk through it; ``aac_return_frequency`` keeps
-the whole walk in memory (about 1.3M states for c12 at its MB level).
+One class, ``JumpWalker``, walks both chains on step tables built once per
+model from the kernel's row table (``TransitionModel.rows``), each replica on
+its own buffered uniform stream. ``run_metropolis`` is one lazy walk, and
+``estimate_hitting`` takes its first step by it. ``walk`` jumps until a
+labelling of the states has changed K times: ``run_until_sigma`` (the
+metastate map), ``estimate_hitting`` (targets and competitors) and
+``aac_return_frequency``, which holds the whole walk (about 1.3M states in c12).
 
 The path-dependent blocks of a trajectory cut it at the indices whose tail
 never revisits an earlier state. A cut can never fall inside a run of
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import copy
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,39 +56,36 @@ def run_metropolis(model: TransitionModel, start: int, steps: int, seed: int) ->
     """Literal sampling from the kernel rows, lazy self-loops included."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    rng = np.random.default_rng(seed)
-    cums = np.cumsum(model.P, axis=1)
-    out = np.empty(steps + 1, dtype=int)
-    out[0] = start
-    us = rng.random(steps)
-    cur = start
-    for k in range(steps):
-        cur = int(np.searchsorted(cums[cur], us[k], side="right"))
-        out[k + 1] = cur
-    return Trajectory(out, model.beta, seed, start)
+    walker = JumpWalker(model).stream(np.random.default_rng(seed))
+    return Trajectory(np.asarray(walker.lazy_walk(start, steps), dtype=int),
+                      model.beta, seed, start)
+
+
+def _pinned(cums: np.ndarray) -> list[float]:
+    """``cums`` as a list whose last value, if it has one, is exactly 1.0."""
+    return cums[:-1].tolist() + [1.0] * bool(len(cums))
 
 
 class JumpWalker:
-    """Embedded jump chain of one model, walked on a buffered uniform stream.
+    """Lazy and embedded chain of one model, walked on a buffered uniform stream.
 
-    ``JumpWalker(model)`` builds the tables: per state its neighbours, their
-    cumulative embedded probabilities (the last one exactly 1.0) and the
-    self-loop probability p(r, r). ``stream(rng)`` returns a walker on the
-    same tables with its own stream: an empty buffer refilled from ``rng`` in
-    chunks of 64 values, growing fourfold up to 65536, so short replicas stay
-    cheap. A move from r takes the next uniform u and goes to the first
-    neighbour whose cumulative probability reaches u.
+    ``JumpWalker(model)`` builds its tables from ``model.rows``: per state r,
+    the row's states and r's neighbours with their cumulative lazy and embedded
+    probabilities (each list ends in exactly 1.0), and p(r, r). ``stream(rng)``
+    returns a walker on the same tables with its own stream: an empty buffer
+    refilled from ``rng`` in chunks of 64 values, growing fourfold up to 65536,
+    so short replicas stay cheap. A step from r takes the next uniform u: a lazy
+    step goes to the first state of r's row whose cumulative value exceeds u, a
+    jump to the first neighbour whose cumulative value reaches u.
     """
 
     def __init__(self, model: TransitionModel):
-        P = model.P
-        self._neighbors = [list(ns) for ns in model.landscape.neighbors]
-        self._cums = []
-        for r, ns in enumerate(self._neighbors):
-            acc = (np.cumsum(P[r, ns]) / off_diagonal_row_sums(P, [r])[0]).tolist()
-            acc[-1] = 1.0
-            self._cums.append(acc)
-        self._stay = np.diag(P).tolist()
+        self._to = [to.tolist() for to, _ in model.rows]
+        self._lazy = [_pinned(np.cumsum(p)) for _, p in model.rows]
+        self._neighbors = [[s for s in to if s != r] for r, to in enumerate(self._to)]
+        self._cums = [_pinned(np.cumsum(p[to != r]) / off_diagonal_row_sums(model.P, [r])[0])
+                      for r, (to, p) in enumerate(model.rows)]
+        self._stay = np.diag(model.P).tolist()
         self._own = list(range(model.n))   # every state its own label
         self._rng: np.random.Generator | None = None
         self._buf: list[float] = []
@@ -113,6 +111,14 @@ class JumpWalker:
         u = self._buf[self._pos]
         self._pos += 1
         return u
+
+    def lazy_walk(self, start: int, steps: int) -> list[int]:
+        """``start`` and the states of ``steps`` lazy steps after it."""
+        states = [start]
+        for _ in range(steps):
+            r = states[-1]
+            states.append(self._to[r][bisect_right(self._lazy[r], self.uniform())])
+        return states
 
     def walk(self, start: int, label, K: int, max_steps: int = 50_000_000) -> list[int]:
         """States from ``start`` up to and including the K-th change of
@@ -240,13 +246,12 @@ def estimate_hitting(model: TransitionModel, x: int, targets, competitors,
     A = frozenset(targets)
     B = frozenset(competitors)
     stop = [s in A or s in B for s in range(model.n)]
-    cums_full = np.cumsum(model.P, axis=1)
     walker = JumpWalker(model)
     hits = 0
     for k in range(reps):
         w = walker.stream(replica_rng(seed, k))
         # one literal lazy first step honours the first-return convention
-        cur = int(np.searchsorted(cums_full[x], w.uniform(), side="right"))
+        cur = w.lazy_walk(x, 1)[-1]
         if not stop[cur]:
             cur = w.walk(cur, stop, 1)[-1]
         hits += cur in A

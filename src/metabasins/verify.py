@@ -541,9 +541,9 @@ CRITERIA = {
 def run_acceptance(only=None, beta_grid=None) -> dict:
     """Run the criteria; ``only`` filters by substring of the criterion name.
 
-    A token of ``only`` that is part of no criterion name raises ValueError.
+    An empty token of ``only``, or one part of no criterion name, raises ValueError.
     """
-    unknown = sorted(t for t in only or () if not any(t in name for name in CRITERIA))
+    unknown = sorted(repr(t) for t in only or () if not (t and any(t in n for n in CRITERIA)))
     if unknown:
         raise ValueError(f"no criterion matches {', '.join(unknown)}; "
                          f"known: {', '.join(CRITERIA)}")

@@ -82,3 +82,12 @@ def test_c12_reciprocating(fx):
     r = _run(fx, "reciprocating-jumps")
     assert r.details["witness_level1"] == [0, 2]
     assert r.details["return_freq_mb_level"] < r.details["return_freq_level1"]
+
+
+@pytest.mark.parametrize("only", [{"aac", ""}, {""}])
+def test_run_acceptance_rejects_empty_token(monkeypatch, only):
+    # an empty token is part of every criterion name; it is refused before
+    # any fixture is built
+    monkeypatch.setattr(verify.FixtureSet, "build", lambda: pytest.fail("fixtures built"))
+    with pytest.raises(ValueError, match="no criterion matches ''"):
+        verify.run_acceptance(only=only)

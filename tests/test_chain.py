@@ -11,7 +11,6 @@ from metabasins.chain import (
     kernel_sandwich_holds,
     occupation_distribution,
     restricted_hitting_probability,
-    stationary,
 )
 from metabasins.landscape import gen_random_landscape
 
@@ -41,7 +40,7 @@ def test_uphill_entry(l6_model):
 
 
 def test_stationary_closed_form(l6_model):
-    pi = stationary(l6_model)
+    pi = l6_model.pi
     assert pi[4] / pi[0] == pytest.approx(1.5 * math.e, rel=1e-13)
 
 

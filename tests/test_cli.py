@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metabasins import verify
 from metabasins.cli import _plain, build_parser, main
 
 
@@ -139,6 +141,16 @@ def test_verify_rejects_unknown_criterion(tmp_path, capsys):
     assert not (out / "verify.json").exists()
 
 
+@pytest.mark.parametrize("only", ["aac,", ",", ""])
+def test_verify_rejects_empty_criterion_token(tmp_path, capsys, monkeypatch, only):
+    # an empty token is part of every criterion name and would select all twelve
+    monkeypatch.setattr(verify.FixtureSet, "build", lambda: pytest.fail("fixtures built"))
+    out = tmp_path / "ver"
+    assert run(["verify", "--only", only, "--out", str(out)]) == 2
+    assert "no criterion matches ''" in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
+
+
 def test_report_renders_svg(tmp_path):
     out = tmp_path / "rep"
     run(["verify", "--only", "exit-time-slope", "--out", str(out)])
@@ -241,3 +253,52 @@ def test_benchmark_entry_points_resolve():
         mod_name, fn_name = entry.split(".")
         module = importlib.import_module(f"metabasins.{mod_name}")
         assert callable(getattr(module, fn_name, None)), entry
+
+
+SIMULATE = ["simulate", "--steps", "20000", "--seed", "7"]
+AGGREGATE = ["aggregate", "--beta", "5"]
+# sha256 of the byte-stable outputs of the lazy sampler and the kernel CSV
+PINNED_OUTPUTS = {
+    "L6": {
+        ("5", "trajectory.csv"): "338d26656299dddb990501d5d4f6ff887b86290ee6bf76183c57c7db1cddce79",
+        ("5", "stats.json"): "36fe2ba0aa70f158463ff8024a0229321beaed8db009b5c0d0896ec9bbd21dd6",
+        ("0.5", "trajectory.csv"): "4cb5ac62f691d72f3d157b1049d67bcfeb0b71a36c4c3a207d27e14c05d925ab",
+        ("0.5", "stats.json"): "f3aece0f6e02072e64eb80520032e2ab1829c4a064693763546fd42ccf2d6a90",
+        "phat.json": "943510847ed237c6bcf17b4080bd8dc286198bd1fa7d2610d0079155f958c070",
+        "transition_matrix.csv": "bd3c4e4f512e4ed2b0ce2040181e2c900aecc428c55eb92cbc29707387623df0",
+        "exponents.json": "75d4b494150e9009f6fd023830ec5b71991d424a0969494a4e239d3ab668f992",
+    },
+    "L14": {
+        ("5", "trajectory.csv"): "338d26656299dddb990501d5d4f6ff887b86290ee6bf76183c57c7db1cddce79",
+        ("5", "stats.json"): "0c92ea5cd7c0ca2e0f1e9e70c1856177886d855b5b0975b6447e81f8651a8c55",
+        ("0.5", "trajectory.csv"): "9bd14a37f08326539fe3cb42358827873d399ed8e85df742abecde0538de13cb",
+        ("0.5", "stats.json"): "e93209dcc64adbe0c5f0245b77d8832f1de31ab61f955cf8a8e5b88c0dafae68",
+        "phat.json": "a4b0f65304cf10ad8ec62de47fdab4db353dd86a495c7e12e46bdacfd8304559",
+        "transition_matrix.csv": "1630b1596c0f349f397c339a529758c553eb02dd7900287119b01b853f44606c",
+        "exponents.json": "c60c4172966b9db12bcccc2aeafebe50da3d2392d3fb24291e1e125c86421b8a",
+    },
+    "L14X": {
+        ("5", "trajectory.csv"): "338d26656299dddb990501d5d4f6ff887b86290ee6bf76183c57c7db1cddce79",
+        ("5", "stats.json"): "0c92ea5cd7c0ca2e0f1e9e70c1856177886d855b5b0975b6447e81f8651a8c55",
+        ("0.5", "trajectory.csv"): "83a7ad0c1f6ec78c8dcbffe331b147907bc36c76267fcff945db95a167243831",
+        ("0.5", "stats.json"): "1a65fb10ee9f7b0def4ed6cfdeedc68ccc6789532fe0c54e0aab4a936bd9332a",
+        "phat.json": "8f754ee3e2558f5dc131a0e7d20a70e34e8430a7d3d25a064bbf2c520d4258fd",
+        "transition_matrix.csv": "54cd25c76467e80455f3f69c896ebe9c54aff36682f3e1c71594fd7a35fb50d6",
+        "exponents.json": "00290edce415b02af1968ccfa97fc881309efd857be35e1c950bc0fb30221827",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_simulate_and_aggregate_outputs_pinned(tmp_path, name):
+    digests = {}
+    for beta in ("5", "0.5"):
+        out = tmp_path / f"sim{beta}"
+        assert run(SIMULATE + ["--beta", beta, "--canonical", name, "--out", str(out)]) == 0
+        for f in ("trajectory.csv", "stats.json"):
+            digests[beta, f] = hashlib.sha256((out / f).read_bytes()).hexdigest()
+    out = tmp_path / "agg"
+    assert run(AGGREGATE + ["--canonical", name, "--out", str(out)]) == 0
+    for f in ("phat.json", "transition_matrix.csv", "exponents.json"):
+        digests[f] = hashlib.sha256((out / f).read_bytes()).hexdigest()
+    assert digests == PINNED_OUTPUTS[name]

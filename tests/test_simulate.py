@@ -14,6 +14,7 @@ from metabasins.aggregation import (
 )
 from metabasins.analysis import ols_slope
 from metabasins.chain import build_metropolis, expected_hitting_time, hitting_probability, HittingQuery
+from metabasins.landscape import Landscape, canonical, gen_random_landscape
 from metabasins.simulate import (
     JumpWalker,
     compare_mb,
@@ -48,6 +49,12 @@ def test_run_metropolis_zero_steps(L6):
     assert list(t.states) == [3]
 
 
+def test_run_metropolis_on_a_single_state():
+    # a state without neighbours: a one-entry lazy row, an empty embedded row
+    model = build_metropolis(Landscape(np.array([1.0]), ((),)), 1.0)
+    assert run_metropolis(model, 0, 5, seed=1).states.tolist() == [0] * 6
+
+
 def test_one_step_frequencies_from_state_3(L6):
     model = build_metropolis(L6.l, 2.0)
     rng = np.random.default_rng(123)
@@ -68,6 +75,48 @@ def test_trajectory_row_frequencies(L6):
         freq = np.mean(nxt == target)
         sigma = math.sqrt((1 / 3) * (2 / 3) / len(visits))
         assert abs(freq - 1 / 3) <= 4 * sigma
+
+
+def dense_cumsum_oracle(model, start, steps, seed):
+    """Lazy sampling by ``searchsorted`` on the whole cumulative kernel, one
+    bulk draw of uniforms; ``run_metropolis`` must reproduce it bit for bit."""
+    cums = np.cumsum(model.P, axis=1)
+    states = [start]
+    for u in np.random.default_rng(seed).random(steps):
+        states.append(int(np.searchsorted(cums[states[-1]], u, side="right")))
+    return states
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 40), gen_seed=st.integers(0, 10_000), beta=st.floats(0.05, 12.0),
+       steps=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_run_metropolis_matches_dense_cumsum_oracle(n, gen_seed, beta, steps, seed, data):
+    model = build_metropolis(gen_random_landscape(n, 4, 0.05, seed=gen_seed), beta)
+    start = data.draw(st.integers(0, n - 1))
+    traj = run_metropolis(model, start, steps, seed)
+    assert traj.states.tolist() == dense_cumsum_oracle(model, start, steps, seed)
+
+
+class ConstantStream:
+    """Stands in for ``np.random.Generator``: every uniform it draws is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+def test_lazy_step_at_the_unpinned_row_end_lands_in_the_row(L14X):
+    # the cumulative kernel row of state 4 at beta 0.5 ends 2 ulp below 1;
+    # searchsorted maps a uniform at that end to n, which is not a state
+    model = build_metropolis(L14X.l, 0.5)
+    to, p = model.rows[4]
+    end = float(np.cumsum(p)[-1])
+    assert end < 1.0
+    assert np.searchsorted(np.cumsum(model.P[4]), end, side="right") == model.n
+    walker = JumpWalker(model).stream(ConstantStream(end))
+    assert walker.lazy_walk(4, 1) == [4, int(to[-1])]
 
 
 def walker_on(model, seed):
@@ -174,6 +223,19 @@ def test_estimate_hitting_reproducible(L6):
     a = estimate_hitting(model, 1, {0}, {2}, reps=500, seed=3)
     b = estimate_hitting(model, 1, {0}, {2}, reps=500, seed=3)
     assert a == b
+
+
+@pytest.mark.parametrize("name, beta, x, targets, competitors, reps, seed, expected", [
+    ("L6", 2.0, 1, {0}, {2}, 2000, 77, (0.512, 0.011177119485806708)),
+    ("L6", 2.0, 0, {0}, {2}, 2000, 5, (1.0, 0.0)),
+    ("L14", 1.5, 4, {2}, {6}, 500, 3, (0.94, 0.010620734437881408)),
+    ("L14X", 3.0, 6, {6}, {0, 12}, 500, 11, (0.314, 0.020755914819636352)),
+])
+def test_estimate_hitting_pinned(name, beta, x, targets, competitors, reps, seed, expected):
+    # exact values: the lazy first step and the jump walk consume the replica
+    # streams in a fixed way, so any change of sampling rule shows here
+    model = build_metropolis(canonical(name), beta)
+    assert estimate_hitting(model, x, targets, competitors, reps, seed) == expected
 
 
 def test_estimate_exit_time_against_solver(L6):

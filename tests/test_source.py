@@ -4,15 +4,32 @@ from pathlib import Path
 import metabasins
 
 SOURCES = sorted(Path(metabasins.__file__).parent.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
+
+def nodes(kind):
+    """(file:line, node) for every ``kind`` node of the package source."""
+    return [(f"{name}:{node.lineno}", node)
+            for name, tree in TREES.items()
+            for node in ast.walk(tree) if isinstance(node, kind)]
+
+
+def calls(name):
+    """(file:line, call) for every call of a function or method called ``name``."""
+    return [(where, call) for where, call in nodes(ast.Call)
+            if getattr(call.func, "attr", getattr(call.func, "id", None)) == name]
 
 
 def test_library_has_no_assert_statements():
     # python -O strips assert statements; invariants must raise typed errors
     assert SOURCES
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
-    ]
-    assert found == []
+    assert [where for where, _ in nodes(ast.Assert)] == []
+
+
+def test_one_lazy_step_rule():
+    # the lazy chain is sampled only by JumpWalker.lazy_walk on the kernel's
+    # row table: no searchsorted, and no cumulative sum along a matrix axis
+    assert calls("cumsum")
+    assert [where for where, _ in calls("searchsorted")] == []
+    assert [where for where, call in calls("cumsum")
+            if len(call.args) > 1 or any(k.arg == "axis" for k in call.keywords)] == []
