@@ -1,8 +1,10 @@
 """Literal reference implementations used as verification oracles.
 
-Everything here works by exhaustive enumeration of self-avoiding paths and is
-deliberately independent of the production algorithms (union-find sweeps,
-Dijkstra, sublevel reductions). Exponential, so only for small instances.
+Everything here is deliberately independent of the production algorithms
+(union-find sweeps, Dijkstra, sublevel reductions, running maxima). The
+landscape oracles enumerate self-avoiding paths and are exponential; the
+path-dependent blocks come from the literal, quadratic cut recursion. Both
+are only for small instances.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import math
 
 from .filtration import Filtration
 from .landscape import Landscape
+from .simulate import PathDependentMB
 
 
 def self_avoiding_paths(l: Landscape, src: int, dst: int) -> list[tuple[int, ...]]:
@@ -176,3 +179,23 @@ def unimodal_escape_oracle(l: Landscape, cache: PathCache, gate: int, target: in
         if abs(path_climb(l, p) - want) < 1e-12:
             return True
     return False
+
+
+def path_dependent_mb_naive(states, T: int) -> PathDependentMB:
+    """Literal recursion over the cut definition; quadratic, for testing only."""
+    states = list(states[: T + 1])
+    if len(states) != T + 1:
+        raise ValueError("trajectory shorter than the requested horizon")
+    chi = [0]
+    while True:
+        nxt = None
+        for k in range(chi[-1] + 1, T + 1):
+            if set(states[k:]).isdisjoint(states[:k]):
+                nxt = k
+                break
+        if nxt is None:
+            break
+        chi.append(nxt)
+    edges = chi + [T + 1]
+    blocks = tuple(frozenset(states[a:b]) for a, b in zip(edges, edges[1:]))
+    return PathDependentMB(tuple(chi), blocks, len(chi) - 1)

@@ -15,11 +15,14 @@ metastate map), ``estimate_hitting`` (targets and competitors) and
 ``aac_return_frequency``, which holds the whole walk (about 1.3M states in c12).
 
 The path-dependent blocks of a trajectory cut it at the indices whose tail
-never revisits an earlier state. A cut can never fall inside a run of
-repeated states, so the blocks, as sets, are invariant under collapsing
-self-loops; the naive reference implementation is kept for testing that.
-``compare_mb`` projects each trajectory once and hands its AAC on to
-``pd_vs_pid_frequencies``.
+never revisits an earlier state. ``path_dependent_mb`` finds them in numpy in
+one running-max pass: index k > 0 is a cut exactly when the largest last
+occurrence of the states before k is k - 1. A cut can never fall inside a run
+of repeated states, so the blocks, as sets, are invariant under collapsing
+self-loops; ``reference.path_dependent_mb_naive`` is the literal recursion the
+tests check this against. The blocks are disjoint, so ``compare_mb`` reads
+the block of a state from one state-to-block map. It projects each trajectory
+once and hands its AAC on to ``pd_vs_pid_frequencies``.
 """
 
 from __future__ import annotations
@@ -61,6 +64,15 @@ def run_metropolis(model: TransitionModel, start: int, steps: int, seed: int) ->
                       model.beta, seed, start)
 
 
+class NoExitError(ValueError):
+    """A jump or holding time was asked of a state whose exit probability is 0."""
+
+    def __init__(self, state: int):
+        super().__init__(f"state {state} cannot be left: its off-diagonal kernel mass "
+                         "is 0, so the jump chain has no step from it")
+        self.state = state
+
+
 def _pinned(cums: np.ndarray) -> list[float]:
     """``cums`` as a list whose last value, if it has one, is exactly 1.0."""
     return cums[:-1].tolist() + [1.0] * bool(len(cums))
@@ -71,7 +83,10 @@ class JumpWalker:
 
     ``JumpWalker(model)`` builds its tables from ``model.rows``: per state r,
     the row's states and r's neighbours with their cumulative lazy and embedded
-    probabilities (each list ends in exactly 1.0), and p(r, r). ``stream(rng)``
+    probabilities (each list ends in exactly 1.0), and p(r, r). A state whose
+    exit probability is 0 (no neighbours, or every exit underflowed) has an
+    empty embedded row; ``walk``, ``step`` and ``holding`` raise
+    ``NoExitError`` from it, while lazy steps stay there. ``stream(rng)``
     returns a walker on the same tables with its own stream: an empty buffer
     refilled from ``rng`` in chunks of 64 values, growing fourfold up to 65536,
     so short replicas stay cheap. A step from r takes the next uniform u: a lazy
@@ -83,8 +98,10 @@ class JumpWalker:
         self._to = [to.tolist() for to, _ in model.rows]
         self._lazy = [_pinned(np.cumsum(p)) for _, p in model.rows]
         self._neighbors = [[s for s in to if s != r] for r, to in enumerate(self._to)]
-        self._cums = [_pinned(np.cumsum(p[to != r]) / off_diagonal_row_sums(model.P, [r])[0])
-                      for r, (to, p) in enumerate(model.rows)]
+        self._cums = []
+        for r, (to, p) in enumerate(model.rows):
+            exit_mass = off_diagonal_row_sums(model.P, [r])[0]
+            self._cums.append(_pinned(np.cumsum(p[to != r]) / exit_mass) if exit_mass > 0 else [])
         self._stay = np.diag(model.P).tolist()
         self._own = list(range(model.n))   # every state its own label
         self._rng: np.random.Generator | None = None
@@ -158,6 +175,12 @@ class JumpWalker:
                 if steps > max_steps:
                     raise RuntimeError(f"walk budget of {max_steps} steps exhausted "
                                        f"before the {K}-th label change")
+        except IndexError:
+            # only an empty row fails ``row[i]``; caught here, outside the
+            # loop, so that steps from other states pay no check
+            if cums[cur]:
+                raise
+            raise NoExitError(cur) from None
         finally:
             self._pos = pos   # the stream goes on from here
         return states
@@ -168,6 +191,8 @@ class JumpWalker:
 
     def holding(self, r: int) -> float:
         """Lazy steps spent at r before moving, a Geometric(1 - p(r,r)) draw."""
+        if not self._cums[r]:
+            raise NoExitError(r)
         p = self._stay[r]
         if p <= 0.0:
             return 1.0
@@ -185,56 +210,32 @@ class PathDependentMB:
 
 
 def path_dependent_mb(states, T: int) -> PathDependentMB:
-    """Blocks of the first T+1 trajectory entries, via occurrence intervals.
+    """Blocks of the first T+1 entries of a trajectory of state indices.
 
     Index k > 0 is a cut exactly when no state occurs both before and at-or-
-    after k, i.e. when k is not covered by any (first occurrence, last
-    occurrence] interval; that is an O(T + |S|) scan. The final block is
-    closed at T + 1.
+    after k, i.e. when the running maximum of last[x_j] over j < k, last[s]
+    being the last occurrence of s up to T, equals k - 1. One ``maximum.at``
+    and one ``maximum.accumulate`` pass find every cut. The final block is
+    closed at T + 1; blocks hold Python ints.
     """
-    states = list(states[: T + 1])
-    if len(states) != T + 1:
+    x = np.asarray(states[: T + 1], dtype=int)
+    if T < 0 or len(x) != T + 1:
         raise ValueError("trajectory shorter than the requested horizon")
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for k, s in enumerate(states):
-        first.setdefault(s, k)
-        last[s] = k
-    cover = [0] * (T + 3)
-    for s, f in first.items():
-        if last[s] > f:
-            cover[f + 1] += 1
-            cover[last[s] + 1] -= 1
-    chi = [0]
-    running = 0
-    for k in range(1, T + 1):
-        running += cover[k]
-        if running == 0:
-            chi.append(k)
-    edges = chi + [T + 1]
-    blocks = tuple(
-        frozenset(states[a:b]) for a, b in zip(edges, edges[1:])
-    )
-    return PathDependentMB(tuple(chi), blocks, len(chi) - 1)
-
-
-def path_dependent_mb_naive(states, T: int) -> PathDependentMB:
-    """Literal recursion over the cut definition; quadratic, for testing only."""
-    states = list(states[: T + 1])
-    if len(states) != T + 1:
-        raise ValueError("trajectory shorter than the requested horizon")
-    chi = [0]
-    while True:
-        nxt = None
-        for k in range(chi[-1] + 1, T + 1):
-            if set(states[k:]).isdisjoint(states[:k]):
-                nxt = k
-                break
-        if nxt is None:
-            break
-        chi.append(nxt)
-    edges = chi + [T + 1]
-    blocks = tuple(frozenset(states[a:b]) for a, b in zip(edges, edges[1:]))
+    if x.min() < 0:
+        raise ValueError("states must be nonnegative indices")
+    steps = np.arange(T + 1)
+    last = np.full(int(x.max()) + 1, -1)
+    np.maximum.at(last, x, steps)
+    cut = np.maximum.accumulate(last[x])[:-1] == steps[:-1]
+    chi = [0, *(np.flatnonzero(cut) + 1).tolist()]
+    # no state occurs on both sides of a cut, so every occurrence of a state
+    # carries the number of its block
+    block = np.zeros(len(last), dtype=int)
+    block[x[1:]] = np.cumsum(cut)
+    seen = np.flatnonzero(last >= 0)
+    members = seen[np.argsort(block[seen], kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(block[seen], minlength=len(chi))).tolist()
+    blocks = tuple(frozenset(members[a:b]) for a, b in zip([0, *ends], ends))
     return PathDependentMB(tuple(chi), blocks, len(chi) - 1)
 
 
@@ -318,18 +319,12 @@ def compare_mb(states, ms: MetastateSpace, K: int,
         raise ValueError(f"trajectory has only {len(stop.sigma) - 1} AC jumps, need {K}")
     T = stop.sigma[K]
     pd = path_dependent_mb(states, T)
-
-    def block_of(x: int) -> frozenset[int]:
-        for b in pd.blocks:
-            if x in b:
-                return b
-        return frozenset()
-
-    inner = tuple(
-        strict_of[y[k]] <= block_of(y[k]) for k in range(K)
-    )
-    open_ok = all(block_of(y[j]) <= ms.valley_of[y[j]] for j in range(max(K - 1, 0)))
-    full_ok = all(block_of(y[j]) <= ms.valley_of[y[j]] for j in range(K))
+    # the blocks are disjoint; a metastate never visited up to T has none
+    block_of = {s: b for b in pd.blocks for s in b}
+    blocks = [block_of.get(m, frozenset()) for m in y[:K]]
+    inner = tuple(strict_of[m] <= b for m, b in zip(y, blocks))
+    open_ok = all(b <= ms.valley_of[m] for m, b in zip(y, blocks[:-1]))
+    full_ok = all(b <= ms.valley_of[m] for m, b in zip(y, blocks))
     valley_sets = [ms.valley_of[m] for m in ms.valley_metastates]
     straddle = sum(
         1 for b in pd.blocks

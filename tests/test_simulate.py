@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,13 +18,14 @@ from metabasins.aggregation import (
 from metabasins.analysis import ols_slope
 from metabasins.chain import build_metropolis, expected_hitting_time, hitting_probability, HittingQuery
 from metabasins.landscape import Landscape, canonical, gen_random_landscape
+from metabasins.reference import path_dependent_mb_naive
 from metabasins.simulate import (
     JumpWalker,
+    NoExitError,
     compare_mb,
     estimate_exit_time,
     estimate_hitting,
     path_dependent_mb,
-    path_dependent_mb_naive,
     run_metropolis,
     run_until_sigma,
     strict_basins_for,
@@ -119,6 +123,30 @@ def test_lazy_step_at_the_unpinned_row_end_lands_in_the_row(L14X):
     assert walker.lazy_walk(4, 1) == [4, int(to[-1])]
 
 
+def test_walker_refuses_a_state_without_exit():
+    # at beta 5 both exits of states 0 and 2 underflow to 0; the lazy chain
+    # stays put there, the jump chain has no step to take
+    model = build_metropolis(Landscape([0, 1000, 0.5], ((1,), (0, 2), (1,))), 5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        walker = JumpWalker(model)
+    w = walker.stream(np.random.default_rng(1))
+    for call in (lambda: w.step(0), lambda: w.holding(2), lambda: w.walk(0, [0, 1, 2], 1)):
+        with pytest.raises(NoExitError, match="state [02] "):
+            call()
+    with pytest.raises(NoExitError) as stuck:
+        w.walk(1, [0, 1, 2], 5)   # state 1 leaves, and its next state is stuck
+    assert stuck.value.state in (0, 2)
+    assert w.walk(0, [0, 1, 2], 0) == [0]
+    for start in range(3):
+        traj = run_metropolis(model, start, 300, seed=3)
+        assert traj.states.tolist() == dense_cumsum_oracle(model, start, 300, 3)
+    # a state without neighbours has no exit either
+    lone = JumpWalker(build_metropolis(Landscape(np.array([1.0]), ((),)), 1.0))
+    with pytest.raises(NoExitError, match="state 0 "):
+        lone.stream(np.random.default_rng(1)).step(0)
+
+
 def walker_on(model, seed):
     return JumpWalker(model).stream(np.random.default_rng(seed))
 
@@ -177,13 +205,35 @@ def test_path_dependent_mb_injective_and_constant():
     assert pd.blocks == (frozenset({7}),)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=40))
-def test_path_dependent_mb_matches_naive(seq):
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=40),
+                 st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=200)),
+       st.data())
+def test_path_dependent_mb_matches_naive(seq, data):
     T = len(seq) - 1
     fast = path_dependent_mb(seq, T)
     slow = path_dependent_mb_naive(seq, T)
     assert fast == slow
+    assert path_dependent_mb(np.asarray(seq), T) == slow
+    # a horizon short of the end reads only the prefix
+    T = data.draw(st.integers(min_value=0, max_value=len(seq) - 1))
+    assert path_dependent_mb(np.asarray(seq), T) == path_dependent_mb_naive(seq, T)
+
+
+def test_path_dependent_mb_blocks_hold_python_ints():
+    pd = path_dependent_mb(np.array([0, 1, 0, 2, 3, 3, 5]), 6)
+    assert pd.blocks == (frozenset({0, 1}), frozenset({2}), frozenset({3}), frozenset({5}))
+    assert {type(s) for b in pd.blocks for s in b} == {int}
+    assert {type(k) for k in pd.chi} == {int}
+
+
+def test_path_dependent_mb_input_contract():
+    for states, T in (([1, 2], 2), (np.array([1, 2]), 5), ([1], -1)):
+        with pytest.raises(ValueError):
+            path_dependent_mb(states, T)
+    with pytest.raises(ValueError):
+        path_dependent_mb([1, -1, 1], 2)
+    assert path_dependent_mb([4, 2, 9, 9], 1).blocks == (frozenset({4}), frozenset({2}))
 
 
 @settings(max_examples=100, deadline=None)
@@ -294,6 +344,58 @@ def test_compare_mb_straddle_audit(L6):
     states = [4, 3, 4, 3, 2, 1, 0]
     cmp = compare_mb(states, ms, 3, strict_of)
     assert cmp.revisit_occurred
+
+
+def first_block_containing(blocks, x):
+    """The literal block lookup: scan the blocks in order."""
+    for b in blocks:
+        if x in b:
+            return b
+    return frozenset()
+
+
+@settings(max_examples=150, deadline=None)
+@given(level=st.sampled_from([1, 2]),
+       seq=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=60),
+       as_array=st.booleans(), data=st.data())
+def test_compare_mb_block_lookup_matches_literal_scan(L6, level, seq, as_array, data):
+    ms = ms_at(L6, level)
+    strict_of = strict_basins_for(ms, L6.decomps)
+    _, stop, y = project_trajectory(seq, ms)
+    K = data.draw(st.integers(min_value=0, max_value=len(stop.sigma) - 1))
+    cmp = compare_mb(np.asarray(seq) if as_array else seq, ms, K, strict_of)
+    pd = path_dependent_mb_naive(seq, stop.sigma[K])
+    block = [first_block_containing(pd.blocks, y[k]) for k in range(K)]
+    assert cmp.inner_in_block == tuple(strict_of[y[k]] <= block[k] for k in range(K))
+    assert cmp.blocks_in_valleys_open == all(block[j] <= ms.valley_of[y[j]]
+                                             for j in range(max(K - 1, 0)))
+    assert cmp.blocks_in_valleys_full == all(block[j] <= ms.valley_of[y[j]] for j in range(K))
+    assert cmp.straddling_blocks == sum(
+        1 for b in pd.blocks
+        if sum(1 for m in ms.valley_metastates if b & ms.valley_of[m]) >= 2)
+    assert cmp.revisit_occurred == (len(set(y[: K + 1])) < len(y[: K + 1]))
+    assert cmp.aac == y
+
+
+def test_pd_blocks_and_comparisons_pinned_on_c11_replicas(L14X):
+    # 60 c11 replicas (beta 10, K 3, seed 20240, MB level); both digests were
+    # recorded with the occurrence-interval implementation of the blocks
+    report = find_metabasins(L14X.l, 2.5, L14X.f, L14X.decomps, L14X.table)
+    ms = ms_at(L14X, report.level)
+    strict_of = strict_basins_for(ms, L14X.decomps)
+    walker = JumpWalker(build_metropolis(L14X.l, 10.0))
+    start = L14X.l.index_of_label(4)
+    blocks, comparisons = hashlib.sha256(), hashlib.sha256()
+    for k in range(60):
+        states = run_until_sigma(walker.stream(simulate.replica_rng(20240, k)), ms, start, 3)
+        pd = path_dependent_mb(states, project_trajectory(states, ms)[1].sigma[3])
+        blocks.update(json.dumps([list(pd.chi), [sorted(b) for b in pd.blocks]]).encode())
+        c = compare_mb(states, ms, 3, strict_of)
+        comparisons.update(json.dumps([list(c.inner_in_block), c.blocks_in_valleys_open,
+                                       c.blocks_in_valleys_full, c.straddling_blocks,
+                                       c.revisit_occurred, list(c.aac)]).encode())
+    assert blocks.hexdigest() == "8db5999819f4cf6f673aa7748e79d4fc976505ce2375c0f0b6cde81248513dc6"
+    assert comparisons.hexdigest() == "20717ad64f067a181a88d7ceee41ad52184ac381c4325cf0c637627815089dbe"
 
 
 def test_empirical_jump_law_approaches_limit(L14X):

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import metabasins
@@ -33,3 +34,13 @@ def test_one_lazy_step_rule():
     assert [where for where, _ in calls("searchsorted")] == []
     assert [where for where, call in calls("cumsum")
             if len(call.args) > 1 or any(k.arg == "axis" for k in call.keywords)] == []
+
+
+def test_imports_only_stdlib_and_numpy():
+    # numpy is the one declared dependency; scipy may be installed but is not
+    allowed = sys.stdlib_module_names | {"numpy", "metabasins"}
+    imported = [(where, alias.name) for where, node in nodes(ast.Import) for alias in node.names]
+    imported += [(where, node.module) for where, node in nodes(ast.ImportFrom) if node.level == 0]
+    assert imported
+    assert [(where, name) for where, name in imported
+            if name.split(".")[0] not in allowed] == []
