@@ -43,7 +43,6 @@ from .saddles import (
     SaddleTable,
     activation_energy,
     essential_saddle,
-    minimax_path,
     saddle_table,
     sublevel_connected,
     uphill_downhill_path,
@@ -54,7 +53,6 @@ from .valleys import (
     attracted,
     build_tree,
     connectivity_params,
-    decompose,
     decompose_all,
     strict_basin,
 )

@@ -22,7 +22,7 @@ import numpy as np
 from .chain import TransitionModel, _absorbing_solve, off_diagonal_row_sums
 from .filtration import Filtration, scoppola_filtration
 from .landscape import Landscape, reachable
-from .saddles import SaddleTable, saddle_table, uphill_downhill_path
+from .saddles import SaddleTable, rising_reach, saddle_table
 from .valleys import (
     ValleyDecomposition,
     decompose_all,
@@ -243,7 +243,34 @@ def transition_exponents(l: Landscape, ms: MetastateSpace,
     valley (udh flag), and a lower bound on the decay otherwise. Entries with
     a positive jump-chain limit decay not at all; entries unreachable through
     non-assigned states are identically zero at every beta.
+
+    The udh flags cost O(k n) per level, not a pair of monotone searches for
+    each of the k^2 pairs: one strictly rising search per target m' gives,
+    read backwards, the states Down(m') that fall strictly to m' outside the
+    other valleys, and one per gate g over the non-assigned states gives
+    Up(g), g included. With z = z*(g, m'), udh(m, m') holds iff z lies in
+    both: a rising leg from g never enters a valley (see below), so it never
+    needs states of V(m').
     """
+    # Lemma: at every level a non-assigned state v lies strictly above each
+    # neighbour u in a valley. If u is a local minimum this is its definition.
+    # Otherwise u was attracted to some t in M_j at a level j <= i, where v was
+    # non-assigned too (valleys only grow). Suppose E(v) <= E(u); write L(s)
+    # and T(s) for the least saddle energy from s to M_j and its minimizers,
+    # S for t's strict basin and G(e) for {E <= e} minus S. As v steps onto
+    # u, L(v) <= L(u) and T(v) is within T(u); v lies outside S, and so does
+    # u unless T(u) = {t}, in which case T(v) = {t} and v is attracted to t.
+    # - L(u) > E(u): then L(v) = L(u), T(v) = T(u), and u and v are neighbours
+    #   in G(L(u)), so they reach the same minimizers there: v wins t's ties.
+    # - L(u) = E(u): u's component of G(E(u)) holds no metastable state (t is
+    #   in S, u beat every other minimizer there, and the rest of M_j lies
+    #   above L(u) from u) and contains v's component of G(L(v)). So a path
+    #   from v to any x in T(v) below L(v) meets S at some s, where
+    #   E(z*(s, t)) < E(z*(s, x)) <= L(v): t is in T(v), and v wins.
+    # Either way v was attracted at level j, a contradiction. The gate is
+    # non-assigned (``valley_transition_limits`` rejects any other), so on a
+    # valley decomposition its search below refuses nothing; a refusal means
+    # ``ms`` is not one, and the rule above would not hold.
     if table is None:
         table = saddle_table(l)
     jc = asymptotic_jump_chain(l, ms)
@@ -252,20 +279,30 @@ def transition_exponents(l: Landscape, ms: MetastateSpace,
     udh: dict[tuple[int, int], bool] = {}
     limit_positive: dict[tuple[int, int], bool] = {}
     reaches: dict[tuple[int, int], bool] = {}
-    valleys = {m: ms.valley_of[m] for m in mlist}
+    energy = l.energy.tolist()
+    # the valley metastate owning each state, -1 for a non-assigned state
+    vrep = [-1 if s in ms.nonassigned else r for s, r in enumerate(ms.rep_of.tolist())]
+    down = {mp: rising_reach(l.neighbors, energy, mp, vrep, (-1, mp))[0] for mp in mlist}
+    cols = list(mlist)
     for a, m in enumerate(mlist):
         gate = ms.gate_of[m]
         # valleys touching the non-assigned component of the gate
         reach = {int(ms.rep_of[u]) for v in reachable(l, gate, ms.nonassigned)
                  for u in l.neighbors[v] if u not in ms.nonassigned}
+        up, entered = rising_reach(l.neighbors, energy, gate, vrep, (-1,))
+        if entered:
+            raise ValueError(f"the gate of {m} rises into the valleys of {sorted(entered)}; "
+                             "the metastate space is not a valley decomposition")
+        positive = (limits[a] > 0).tolist()
+        rise = (table.energy[m, cols] - l.energy[gate]).tolist()
+        saddle = table.state[gate, cols].tolist()
         for b, mp in enumerate(mlist):
-            limit_positive[(m, mp)] = bool(limits[a, b] > 0)
+            limit_positive[(m, mp)] = positive[b]
             reaches[(m, mp)] = mp in reach
             if mp == m:
                 continue
-            D[(m, mp)] = float(table.energy[m, mp] - l.energy[gate])
-            avoid = frozenset().union(*(v for t, v in valleys.items() if t != mp))
-            udh[(m, mp)] = uphill_downhill_path(l, gate, mp, avoid, table) is not None
+            D[(m, mp)] = rise[b]
+            udh[(m, mp)] = saddle[b] in down[mp] and saddle[b] in up
     boundary_exp = {
         (m, s): float(l.energy[s] - l.energy[ms.gate_of[m]])
         for m in mlist for s in outer_boundary(l, ms.valley_of[m])

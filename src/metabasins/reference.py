@@ -1,19 +1,26 @@
-"""Literal reference implementations used as verification oracles.
+"""Reference implementations used as verification oracles.
 
-Everything here is deliberately independent of the production algorithms
-(union-find sweeps, Dijkstra, sublevel reductions, running maxima). The
-landscape oracles enumerate self-avoiding paths and are exponential; the
-path-dependent blocks come from the literal, quadratic cut recursion. Both
-are only for small instances.
+They are deliberately independent of the production algorithms (union-find
+sweeps, climb Dijkstras, sublevel reductions, running maxima). The landscape
+oracles enumerate self-avoiding paths and are exponential, and the
+path-dependent blocks come from the literal, quadratic cut recursion, so both
+are only for small instances. ``minimax_path`` finds one pair's saddle by a
+minimax Dijkstra. ``decompose`` returns one level of ``decompose_all``, which
+it builds whole.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+
+import numpy as np
 
 from .filtration import Filtration
 from .landscape import Landscape
+from .saddles import PathRecord, SaddleTable
 from .simulate import PathDependentMB
+from .valleys import ValleyDecomposition, decompose_all
 
 
 def self_avoiding_paths(l: Landscape, src: int, dst: int) -> list[tuple[int, ...]]:
@@ -199,3 +206,47 @@ def path_dependent_mb_naive(states, T: int) -> PathDependentMB:
     edges = chi + [T + 1]
     blocks = tuple(frozenset(states[a:b]) for a, b in zip(edges, edges[1:]))
     return PathDependentMB(tuple(chi), blocks, len(chi) - 1)
+
+
+def minimax_path(l: Landscape, r: int, s: int) -> PathRecord:
+    """Minimax Dijkstra: independent algorithm returning one minimal path.
+
+    Path cost is the maximum energy over all its states (endpoints included);
+    among paths achieving the optimum an arbitrary one is returned, but the
+    argmax state on it is the unique essential saddle.
+    """
+    if r == s:
+        raise ValueError("r == s")
+    best = np.full(l.n, np.inf)
+    best[r] = l.energy[r]
+    prev = np.full(l.n, -1, dtype=int)
+    heap = [(best[r], r)]
+    done = np.zeros(l.n, dtype=bool)
+    while heap:
+        cost, v = heapq.heappop(heap)
+        if done[v]:
+            continue
+        done[v] = True
+        if v == s:
+            break
+        for u in l.neighbors[v]:
+            c = max(cost, float(l.energy[u]))
+            if c < best[u]:
+                best[u] = c
+                prev[u] = v
+                heapq.heappush(heap, (c, u))
+    if not done[s]:
+        raise ValueError("states not connected")
+    path = [s]
+    while path[-1] != r:
+        path.append(int(prev[path[-1]]))
+    path.reverse()
+    act = sum(max(l.energy[b] - l.energy[a], 0.0) for a, b in zip(path, path[1:]))
+    return PathRecord(tuple(path), float(best[s]), float(act))
+
+
+def decompose(l: Landscape, f: Filtration, i: int,
+              table: SaddleTable | None = None) -> ValleyDecomposition:
+    if not 1 <= i <= f.levels:
+        raise ValueError(f"level {i} out of range 1..{f.levels}")
+    return decompose_all(l, f, table)[i - 1]

@@ -11,7 +11,10 @@ One energy-stamped union-find sweep (``Sweep``, the merge forest of the
 sublevel sets) answers every saddle question: ``saddle_table`` replays its
 links, ``essential_saddle`` reads one pair from its root paths, and the valley
 layer asks it whether two states connect below a barrier outside a strict
-basin. A minimax Dijkstra is kept as an independent oracle.
+basin. The tests check it against a minimax Dijkstra and path enumeration
+in ``reference``. ``rising_reach`` is the strictly rising search of the
+metabasin scan; ``uphill_downhill_path``, the per-pair search it replaced
+there, is kept as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -143,43 +146,6 @@ def essential_saddle(l: Landscape, r: int, s: int) -> tuple[int, float]:
     return z, float(l.energy[z])
 
 
-def minimax_path(l: Landscape, r: int, s: int) -> PathRecord:
-    """Minimax Dijkstra: independent algorithm returning one minimal path.
-
-    Path cost is the maximum energy over all its states (endpoints included);
-    among paths achieving the optimum an arbitrary one is returned, but the
-    argmax state on it is the unique essential saddle.
-    """
-    if r == s:
-        raise ValueError("r == s")
-    best = np.full(l.n, np.inf)
-    best[r] = l.energy[r]
-    prev = np.full(l.n, -1, dtype=int)
-    heap = [(best[r], r)]
-    done = np.zeros(l.n, dtype=bool)
-    while heap:
-        cost, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        if v == s:
-            break
-        for u in l.neighbors[v]:
-            c = max(cost, float(l.energy[u]))
-            if c < best[u]:
-                best[u] = c
-                prev[u] = v
-                heapq.heappush(heap, (c, u))
-    if not done[s]:
-        raise ValueError("states not connected")
-    path = [s]
-    while path[-1] != r:
-        path.append(int(prev[path[-1]]))
-    path.reverse()
-    act = sum(max(l.energy[b] - l.energy[a], 0.0) for a, b in zip(path, path[1:]))
-    return PathRecord(tuple(path), float(best[s]), float(act))
-
-
 def climb_costs(l: Landscape, s: int) -> list[float]:
     """Least cumulative uphill climb from s to every state (inf if unreachable).
 
@@ -256,6 +222,34 @@ def _monotone_leg(l: Landscape, start: int, goal: int, avoid, rising: bool):
                 parent[u] = v
                 queue.append(u)
     return None
+
+
+def rising_reach(neighbors, energy: list[float], start: int, rep: list[int],
+                 allowed: tuple[int, ...]) -> tuple[set[int], set[int]]:
+    """States reached from ``start`` by strictly rising moves, and the refused labels.
+
+    A move v -> u is taken when E(u) > E(v) and ``rep[u]`` is in ``allowed``;
+    the labels ``rep[u]`` of the states refused at a rising move are returned
+    too. Read backwards, the reached set is every state with a strictly falling
+    path to ``start`` through allowed states. No energy cap is needed to
+    answer a ``_monotone_leg`` question: every state of a strictly monotone
+    path to a goal lies strictly between the start's and the goal's energy.
+    """
+    seen = {start}
+    refused = set()
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        ev = energy[v]
+        for u in neighbors[v]:
+            if energy[u] <= ev or u in seen:
+                continue
+            if rep[u] in allowed:
+                seen.add(u)
+                stack.append(u)
+            else:
+                refused.add(rep[u])
+    return seen, refused
 
 
 def uphill_downhill_path(l: Landscape, frm: int, to: int, avoid=frozenset(),

@@ -98,9 +98,10 @@ class JumpWalker:
         self._to = [to.tolist() for to, _ in model.rows]
         self._lazy = [_pinned(np.cumsum(p)) for _, p in model.rows]
         self._neighbors = [[s for s in to if s != r] for r, to in enumerate(self._to)]
-        self._cums = []
+        self._cums, self._exit = [], []
         for r, (to, p) in enumerate(model.rows):
-            exit_mass = off_diagonal_row_sums(model.P, [r])[0]
+            exit_mass = float(off_diagonal_row_sums(model.P, [r])[0])
+            self._exit.append(exit_mass)
             self._cums.append(_pinned(np.cumsum(p[to != r]) / exit_mass) if exit_mass > 0 else [])
         self._stay = np.diag(model.P).tolist()
         self._own = list(range(model.n))   # every state its own label
@@ -199,7 +200,14 @@ class JumpWalker:
         u = self.uniform()
         while u <= 0.0:
             u = self.uniform()
-        return 1.0 + math.floor(math.log(u) / math.log(p))
+        if p < 1.0:
+            return 1.0 + math.floor(math.log(u) / math.log(p))
+        # the exit mass is below one ulp of 1, so p(r,r) rounded to 1.0
+        steps = math.log(u) / math.log1p(-self._exit[r])
+        if not math.isfinite(steps):
+            raise ValueError(f"holding time at state {r} overflows a float: its exit "
+                             f"probability is {self._exit[r]!r}")
+        return 1.0 + math.floor(steps)
 
 
 @dataclass(frozen=True)

@@ -209,13 +209,6 @@ def decompose_all(l: Landscape, f: Filtration,
     return levels
 
 
-def decompose(l: Landscape, f: Filtration, i: int,
-              table: SaddleTable | None = None) -> ValleyDecomposition:
-    if not 1 <= i <= f.levels:
-        raise ValueError(f"level {i} out of range 1..{f.levels}")
-    return decompose_all(l, f, table)[i - 1]
-
-
 @dataclass(frozen=True, eq=False)
 class ValleyTree:
     """Layer g holds the level nlevels-g nodes; each points into the layer above."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metabasins import reference, saddles
+from metabasins import aggregation, reference, saddles
 from metabasins.aggregation import (
     MetastateSpace,
     StoppingTimes,
@@ -22,7 +22,8 @@ from metabasins.aggregation import (
     valley_transition_limits,
 )
 from metabasins.chain import build_metropolis, expected_hitting_time
-from metabasins.filtration import scoppola_filtration
+from metabasins.filtration import local_minima, scoppola_filtration
+from metabasins.landscape import Landscape, gen_random_landscape, reachable
 from metabasins.valleys import decompose_all
 from metabasins import simulate
 
@@ -484,6 +485,116 @@ def test_valley_transition_rejects_adjacent_valleys(L6):
                         np.array([0, 0, 2, 3, 4, 4]))
     with pytest.raises(ValueError, match="borders another valley"):
         exact_valley_transition(build_metropolis(L6.l, 1.0), ms, 0)
+
+
+def _per_pair_exponents(l, ms, table):
+    """D, udh and reachable of ``transition_exponents``, one ordered pair at a
+    time: the udh flag from ``uphill_downhill_path`` avoiding every other valley."""
+    mlist = ms.valley_metastates
+    avoid = {mp: frozenset().union(*(ms.valley_of[t] for t in mlist if t != mp))
+             for mp in mlist}
+    D, udh, touches = {}, {}, {}
+    for m in mlist:
+        gate = ms.gate_of[m]
+        touched = {int(ms.rep_of[u]) for v in reachable(l, gate, ms.nonassigned)
+                   for u in l.neighbors[v] if u not in ms.nonassigned}
+        for mp in mlist:
+            touches[(m, mp)] = mp in touched
+            if mp != m:
+                D[(m, mp)] = float(table.energy[m, mp] - l.energy[gate])
+                path = saddles.uphill_downhill_path(l, gate, mp, avoid[mp], table)
+                udh[(m, mp)] = path is not None
+    return D, udh, touches
+
+
+@pytest.fixture(scope="module")
+def random_scan_inputs():
+    """(landscape, filtration, table, decompositions, level step) for random
+    inputs; up to n=150 also with the energies rounded to integers (ties)."""
+    out = []
+    for n, s, step in ((60, 1, 1), (60, 2, 1), (60, 3, 1), (150, 1, 1), (300, 1, 20)):
+        l = gen_random_landscape(n, 4, 0.05, s)
+        tied = Landscape(np.round(l.energy, 0), l.neighbors)
+        for land in (l, tied) if n <= 150 else (l,):
+            f = scoppola_filtration(land)
+            table = saddles.saddle_table(land)
+            out.append((land, f, table, decompose_all(land, f, table), step))
+    return out
+
+
+def test_exponents_match_the_per_pair_search(L6, L14, L14X, random_scan_inputs):
+    inputs = [(fx.l, fx.f, fx.table, fx.decomps, 1) for fx in (L6, L14, L14X)]
+    compared = tied = found = 0
+    for l, f, table, decomps, step in inputs + random_scan_inputs:
+        for i in range(1, f.levels - 1, step):
+            ms = metastate_space(decomps[i - 1], f)
+            try:
+                valley_transition_limits(ms, asymptotic_jump_chain(l, ms))
+            except ValueError:
+                continue   # no jump-chain limit at this level (ties only)
+            exps = transition_exponents(l, ms, table)
+            assert (exps.D, exps.udh, exps.reachable) == _per_pair_exponents(l, ms, table)
+            compared += 1
+            tied += len(set(l.energy.tolist())) < l.n
+            found += sum(exps.udh.values())
+    assert compared > 150 and tied > 50 and found > 5000
+
+
+def test_nonassigned_states_lie_above_their_valley_neighbours(L6, L14, L14X,
+                                                             random_scan_inputs):
+    # the lemma behind ``transition_exponents``' per-gate search: a strictly
+    # rising move from a non-assigned state never enters a valley
+    inputs = [(fx.l, fx.f, fx.decomps) for fx in (L6, L14, L14X)]
+    inputs += [(l, f, decomps) for l, f, _, decomps, _ in random_scan_inputs]
+    for l, f, decomps in inputs:
+        for d in decomps:
+            ms = metastate_space(d, f)
+            for v in ms.nonassigned:
+                assert all(l.energy[u] < l.energy[v] for u in l.neighbors[v]
+                           if u not in ms.nonassigned)
+
+
+def test_exponents_refuse_a_gate_that_rises_into_a_valley():
+    # hand-built: state 2 sits in V(4) above the non-assigned gate 1 of V(0),
+    # which no valley decomposition allows; the leg 1 -> 2 -> 3 -> 4 through
+    # V(4) would escape the per-gate search
+    l = Landscape(np.array([0.0, 2.0, 3.0, 5.0, 1.0]),
+                  ((1,), (0, 2), (1, 3), (2, 4), (3,)))
+    valleys = {0: {0}, 1: {1}, 3: {3}, 4: {2, 4}}
+    ms = MetastateSpace(1, (0, 1, 3, 4), frozenset({1, 3}),
+                        {m: frozenset(v) for m, v in valleys.items()},
+                        {0: 1, 4: 1}, {m: 1 for m in valleys}, np.array([0, 1, 4, 3, 4]))
+    assert saddles.uphill_downhill_path(l, 1, 4, frozenset({0})) is not None
+    with pytest.raises(ValueError, match="not a valley decomposition"):
+        transition_exponents(l, ms)
+
+
+def test_mb_scan_runs_two_monotone_searches_per_valley(monkeypatch):
+    pair_calls, searches, levels = [], [0], []
+    real_search, real_exponents = aggregation.rising_reach, aggregation.transition_exponents
+
+    def counting_search(*args):
+        searches[0] += 1
+        return real_search(*args)
+
+    def counting_exponents(l, ms, table=None):
+        before = searches[0]
+        exps = real_exponents(l, ms, table)
+        levels.append((searches[0] - before, len(exps.metastables)))
+        return exps
+
+    for module, name in ((saddles, "uphill_downhill_path"), (saddles, "_monotone_leg"),
+                         (aggregation, "uphill_downhill_path")):
+        monkeypatch.setattr(module, name, lambda *a, **k: pair_calls.append(a),
+                            raising=False)
+    monkeypatch.setattr(aggregation, "rising_reach", counting_search)
+    monkeypatch.setattr(aggregation, "transition_exponents", counting_exponents)
+    seeds = [s for s in range(60) if len(local_minima(gen_random_landscape(48, 4, 0.05, s))) == 16]
+    for s in seeds[:4]:
+        find_metabasins(gen_random_landscape(48, 4, 0.05, s), 0.5)
+    assert pair_calls == []
+    assert len(levels) > 20
+    assert all(calls <= 2 * k for calls, k in levels)
 
 
 def test_find_metabasins_with_table_runs_no_pair_sweep(L14X, monkeypatch):

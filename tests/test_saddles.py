@@ -3,10 +3,10 @@ import pytest
 
 from metabasins import reference
 from metabasins.landscape import Landscape, LandscapeError, gen_random_landscape
+from metabasins.reference import minimax_path
 from metabasins.saddles import (
     activation_energy,
     essential_saddle,
-    minimax_path,
     saddle_table,
     sublevel_connected,
     uphill_downhill_path,

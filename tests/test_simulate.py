@@ -147,6 +147,31 @@ def test_walker_refuses_a_state_without_exit():
         lone.stream(np.random.default_rng(1)).step(0)
 
 
+def test_holding_time_where_the_stay_probability_rounds_to_one():
+    # at beta 1 the exit p(0, 1) = 2.1e-18 of state 0 is below one ulp of 1,
+    # so p(0, 0) is exactly 1.0; the holding time is drawn from the exit mass
+    l = Landscape(np.array([0.0, 40.0, 0.5]), ((1,), (0, 2), (1,)))
+    model = build_metropolis(l, 1.0)
+    exit_mass = model.P[0, 1]
+    assert model.P[0, 0] == 1.0 and 0.0 < exit_mass < 1e-17
+    walker = JumpWalker(model)
+    u = np.random.default_rng(3).random()
+    held = walker.stream(np.random.default_rng(3)).holding(0)
+    assert held == 1.0 + math.floor(math.log(u) / math.log1p(-exit_mass))
+    assert 1e16 < held < 1e19   # the mean is 1 / exit_mass = 4.7e17 steps
+    assert walker.stream(np.random.default_rng(3)).step(0) == 1
+    # states with p(r, r) < 1 keep the log(p) draw
+    u = np.random.default_rng(4).random()
+    p = model.P[1, 1]
+    assert 0.0 < p < 1.0
+    assert walker.stream(np.random.default_rng(4)).holding(1) == 1.0 + math.floor(
+        math.log(u) / math.log(p))
+    # an exit mass of 1e-320 makes the draw overflow a float
+    far = JumpWalker(build_metropolis(Landscape(np.array([0.0, 736.0, 0.5]), l.neighbors), 1.0))
+    with pytest.raises(ValueError, match="holding time at state 0 overflows"):
+        far.stream(np.random.default_rng(3)).holding(0)
+
+
 def walker_on(model, seed):
     return JumpWalker(model).stream(np.random.default_rng(seed))
 

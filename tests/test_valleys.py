@@ -6,13 +6,13 @@ import pytest
 from metabasins import reference
 from metabasins.filtration import scoppola_filtration
 from metabasins.landscape import gen_random_landscape
+from metabasins.reference import decompose
 from metabasins.saddles import SaddleTable, Sweep, saddle_table, sublevel_connected
 from metabasins.valleys import (
     _Level,
     attracted,
     build_tree,
     connectivity_params,
-    decompose,
     decompose_all,
     outer_boundary,
     strict_basin,
