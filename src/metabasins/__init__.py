@@ -8,6 +8,7 @@ from .aggregation import (
     MetastateSpace,
     StoppingTimes,
     asymptotic_jump_chain,
+    escape_exponents,
     exact_jump_distribution,
     exact_valley_transition,
     find_metabasins,

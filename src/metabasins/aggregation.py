@@ -150,22 +150,22 @@ def valley_transition_limits(ms: MetastateSpace, jc: JumpChainLimit):
     The series over decreasing non-assigned chains equals the absorption
     probabilities of the limit jump chain restricted to the non-assigned
     states with every valley absorbing (the chain moves strictly downhill on
-    non-assigned states, so the restriction is nilpotent).
+    non-assigned states, so the restriction is nilpotent). ``ValueError`` names
+    equal-energy non-assigned neighbours (hand-built only) that trap the chain.
     """
-    mlist = list(ms.valley_metastates)
-    nlist = [m for m in ms.metastates if m in ms.nonassigned]
-    iN = [jc.index(s) for s in nlist]
-    iM = [jc.index(m) for m in mlist]
+    na = np.isin(jc.metastates, list(ms.nonassigned))
+    nlist = np.array(jc.metastates)[na].tolist()
     if not nlist:
         raise ValueError("no non-assigned states at this level; nothing to traverse")
-    A = jc.phat[np.ix_(iN, iN)]
-    B = jc.phat[np.ix_(iN, iM)]
-    absorb = np.linalg.solve(np.eye(len(nlist)) - A, B)
-    limits = np.zeros((len(mlist), len(mlist)))
-    for a, m in enumerate(mlist):
-        gate = ms.gate_of[m]
-        limits[a] = absorb[nlist.index(gate)]
-    return tuple(mlist), limits
+    A = jc.phat[np.ix_(na, na)]
+    try:
+        absorb = np.linalg.solve(np.eye(len(nlist)) - A, jc.phat[np.ix_(na, ~na)])
+    except np.linalg.LinAlgError:
+        tied = np.argwhere(np.triu((A > 0) & (A.T > 0))).tolist()
+        raise ValueError("the jump-chain limit is trapped among non-assigned neighbours "
+                         f"of equal energy: {[(nlist[a], nlist[b]) for a, b in tied]}") from None
+    mlist = ms.valley_metastates
+    return mlist, absorb[[nlist.index(ms.gate_of[m]) for m in mlist]]
 
 
 def exact_jump_distribution(model: TransitionModel, ms: MetastateSpace, r: int) -> dict[int, float]:
@@ -227,30 +227,23 @@ def exact_valley_transition(model: TransitionModel, ms: MetastateSpace, m: int) 
 class ExponentMatrix:
     level: int
     metastables: tuple[int, ...]
-    D: dict[tuple[int, int], float]
-    udh: dict[tuple[int, int], bool]
+    D: np.ndarray              # k x k, row and column in the order of metastables
+    udh: np.ndarray
     boundary_exp: dict[tuple[int, int], float]
-    limit_positive: dict[tuple[int, int], bool]
-    reachable: dict[tuple[int, int], bool]
+    limits: np.ndarray         # ``valley_transition_limits``
+    reachable: np.ndarray
 
 
-def transition_exponents(l: Landscape, ms: MetastateSpace,
-                         table: SaddleTable | None = None) -> ExponentMatrix:
-    """Decay exponents of inter-valley transitions and boundary exits.
+def escape_exponents(l: Landscape, ms: MetastateSpace, table: SaddleTable | None = None):
+    """The valley metastates and k x k arrays D and udh: all a metabasin scan reads.
 
-    D(m, m') = E(z*(m, m')) - E(s_m) is the exact rate when a unimodal
-    escape path from the gate into V(m') exists that avoids every other
-    valley (udh flag), and a lower bound on the decay otherwise. Entries with
-    a positive jump-chain limit decay not at all; entries unreachable through
-    non-assigned states are identically zero at every beta.
-
-    The udh flags cost O(k n) per level, not a pair of monotone searches for
-    each of the k^2 pairs: one strictly rising search per target m' gives,
-    read backwards, the states Down(m') that fall strictly to m' outside the
-    other valleys, and one per gate g over the non-assigned states gives
-    Up(g), g included. With z = z*(g, m'), udh(m, m') holds iff z lies in
-    both: a rising leg from g never enters a valley (see below), so it never
-    needs states of V(m').
+    D(m, m') = E(z*(m, m')) - E(g) for the gate g of m (-inf on the diagonal);
+    udh(m, m') flags a path from g strictly rising to z = z*(g, m') and then
+    strictly falling into V(m') outside the other valleys. Cost O(k n): one
+    strictly rising search per target m' gives, read backwards, Down(m') (the
+    states falling strictly to m' outside the other valleys), one per gate over
+    the non-assigned states gives Up(g), g included; udh(m, m') iff z is in
+    both, since a rising leg from g never enters a valley (see below).
     """
     # Lemma: at every level a non-assigned state v lies strictly above each
     # neighbour u in a valley. If u is a local minimum this is its definition.
@@ -268,47 +261,61 @@ def transition_exponents(l: Landscape, ms: MetastateSpace,
     #   from v to any x in T(v) below L(v) meets S at some s, where
     #   E(z*(s, t)) < E(z*(s, x)) <= L(v): t is in T(v), and v wins.
     # Either way v was attracted at level j, a contradiction. The gate is
-    # non-assigned (``valley_transition_limits`` rejects any other), so on a
-    # valley decomposition its search below refuses nothing; a refusal means
-    # ``ms`` is not one, and the rule above would not hold.
+    # non-assigned (checked below), so on a valley decomposition its search
+    # refuses nothing; a refusal means ``ms`` is not one, and the rule above
+    # would not hold.
     if table is None:
         table = saddle_table(l)
-    jc = asymptotic_jump_chain(l, ms)
-    mlist, limits = valley_transition_limits(ms, jc)
-    D: dict[tuple[int, int], float] = {}
-    udh: dict[tuple[int, int], bool] = {}
-    limit_positive: dict[tuple[int, int], bool] = {}
-    reaches: dict[tuple[int, int], bool] = {}
+    mlist = ms.valley_metastates
+    gates = [ms.gate_of.get(m) for m in mlist]
     energy = l.energy.tolist()
     # the valley metastate owning each state, -1 for a non-assigned state
     vrep = [-1 if s in ms.nonassigned else r for s, r in enumerate(ms.rep_of.tolist())]
-    down = {mp: rising_reach(l.neighbors, energy, mp, vrep, (-1, mp))[0] for mp in mlist}
-    cols = list(mlist)
-    for a, m in enumerate(mlist):
-        gate = ms.gate_of[m]
-        # valleys touching the non-assigned component of the gate
-        reach = {int(ms.rep_of[u]) for v in reachable(l, gate, ms.nonassigned)
-                 for u in l.neighbors[v] if u not in ms.nonassigned}
-        up, entered = rising_reach(l.neighbors, energy, gate, vrep, (-1,))
+    down = np.zeros((len(mlist), l.n), dtype=bool)
+    up = np.zeros_like(down)
+    for a, (m, gate) in enumerate(zip(mlist, gates)):
+        if gate not in ms.nonassigned:
+            raise ValueError(f"valley {m} has no non-assigned exit gate (gate {gate}); "
+                             "its exponents are undefined at this level")
+        down[a, list(rising_reach(l.neighbors, energy, m, vrep, (-1, m))[0])] = True
+        reached, entered = rising_reach(l.neighbors, energy, gate, vrep, (-1,))
         if entered:
             raise ValueError(f"the gate of {m} rises into the valleys of {sorted(entered)}; "
                              "the metastate space is not a valley decomposition")
-        positive = (limits[a] > 0).tolist()
-        rise = (table.energy[m, cols] - l.energy[gate]).tolist()
-        saddle = table.state[gate, cols].tolist()
-        for b, mp in enumerate(mlist):
-            limit_positive[(m, mp)] = positive[b]
-            reaches[(m, mp)] = mp in reach
-            if mp == m:
-                continue
-            D[(m, mp)] = rise[b]
-            udh[(m, mp)] = saddle[b] in down[mp] and saddle[b] in up
-    boundary_exp = {
-        (m, s): float(l.energy[s] - l.energy[ms.gate_of[m]])
-        for m in mlist for s in outer_boundary(l, ms.valley_of[m])
-    }
-    return ExponentMatrix(ms.level, tuple(mlist), D, udh, boundary_exp,
-                          limit_positive, reaches)
+        up[a, list(reached)] = True
+    D = table.energy[np.ix_(mlist, mlist)] - l.energy[gates][:, None]
+    z = table.state[np.ix_(gates, mlist)]
+    cols = np.arange(len(mlist))
+    udh = down[cols, z] & up[cols[:, None], z]
+    np.fill_diagonal(D, -np.inf)
+    np.fill_diagonal(udh, False)
+    return mlist, D, udh
+
+
+def boundary_exponents(l: Landscape, ms: MetastateSpace) -> dict[tuple[int, int], float]:
+    """E(s) - E(gate of m) for each valley m and each state s on its outer boundary."""
+    return {(m, s): float(l.energy[s] - l.energy[ms.gate_of[m]])
+            for m in ms.valley_metastates for s in outer_boundary(l, ms.valley_of[m])}
+
+
+def transition_exponents(l: Landscape, ms: MetastateSpace,
+                         table: SaddleTable | None = None) -> ExponentMatrix:
+    """Decay exponents of inter-valley transitions and boundary exits.
+
+    D and udh are ``escape_exponents``': D is the exact rate where udh holds
+    and a lower bound on the decay otherwise. A pair with a positive limit
+    (``limits``, one jump chain and one solve) decays not at all; one not
+    ``reachable`` through non-assigned states has probability zero.
+    """
+    mlist, D, udh = escape_exponents(l, ms, table)
+    _, limits = valley_transition_limits(ms, asymptotic_jump_chain(l, ms))
+    reaches = np.zeros_like(udh)
+    for a, m in enumerate(mlist):
+        # valleys touching the non-assigned component of the gate
+        touched = [u for v in reachable(l, ms.gate_of[m], ms.nonassigned)
+                   for u in l.neighbors[v] if u not in ms.nonassigned]
+        reaches[a] = np.isin(mlist, ms.rep_of[touched])
+    return ExponentMatrix(ms.level, mlist, D, udh, boundary_exponents(l, ms), limits, reaches)
 
 
 @dataclass(frozen=True)
@@ -333,34 +340,31 @@ def reciprocating_order_test(exps: ExponentMatrix, eps: float) -> RecipWitness |
     if len(mlist) > 20:
         raise ValueError("too many metastable states for subset enumeration")
 
-    def inside_exponent(m1, m2):
-        if exps.limit_positive[(m1, m2)]:
+    def inside_exponent(a1, a2):
+        if exps.limits[a1, a2] > 0:
             return 0.0, True
-        if m1 == m2:
+        if a1 == a2:
             return math.inf, True        # returns are impossible in the limit
-        if exps.udh[(m1, m2)]:
-            return exps.D[(m1, m2)], True
-        if exps.reachable[(m1, m2)]:
-            return exps.D[(m1, m2)], False
+        if exps.udh[a1, a2]:
+            return exps.D[a1, a2], True
+        if exps.reachable[a1, a2]:
+            return exps.D[a1, a2], False
         return math.inf, True
 
+    positions = range(len(mlist))
     for size in range(1, len(mlist)):
-        for A in itertools.combinations(mlist, size):
-            Aset = frozenset(A)
-            outside = [m for m in mlist if m not in Aset]
+        for A in itertools.combinations(positions, size):
+            outside = [b for b in positions if b not in A]
             flagged = False
             ok = True
-            for m1 in A:
+            for a1 in A:
                 found = False
-                for m2 in A:
-                    exp_in, exact = inside_exponent(m1, m2)
+                for a2 in A:
+                    exp_in, exact = inside_exponent(a1, a2)
                     if math.isinf(exp_in):
                         continue
-                    gaps = []
-                    for m in outside:
-                        if not exps.reachable[(m1, m)]:
-                            continue  # identically zero probability: infinite gap
-                        gaps.append(exps.D[(m1, m)] - exp_in)
+                    # an unreachable target has probability zero: an infinite gap
+                    gaps = [exps.D[a1, b] - exp_in for b in outside if exps.reachable[a1, b]]
                     if all(g >= eps for g in gaps):
                         found = True
                         flagged = flagged or not exact
@@ -369,7 +373,7 @@ def reciprocating_order_test(exps: ExponentMatrix, eps: float) -> RecipWitness |
                     ok = False
                     break
             if ok:
-                return RecipWitness(Aset, flagged)
+                return RecipWitness(frozenset(mlist[a] for a in A), flagged)
     return None
 
 
@@ -392,7 +396,8 @@ def find_metabasins(l: Landscape, eps: float,
     A level qualifies when every valley metastate m has all its saddles to
     other valley metastates within eps above its gate energy (MB1) and at
     least two unimodal escape targets (MB2). Levels above nlevels - 2 are
-    never considered. Returns level None if no level qualifies.
+    never considered. Returns level None if no level qualifies. A level reads
+    only ``escape_exponents``, no jump-chain limit, which tied energies can void.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -405,13 +410,10 @@ def find_metabasins(l: Landscape, eps: float,
     scan = []
     for i in range(1, f.levels - 1):
         ms = metastate_space(decomps[i - 1], f)
-        exps = transition_exponents(l, ms, table)
-        margins: dict[int, float] = {}
-        witnesses: dict[int, tuple[int, ...]] = {}
-        for m in exps.metastables:
-            others = [mp for mp in exps.metastables if mp != m]
-            margins[m] = max((exps.D[(m, mp)] for mp in others), default=-math.inf)
-            witnesses[m] = tuple(mp for mp in others if exps.udh[(m, mp)])
+        mlist, D, udh = escape_exponents(l, ms, table)
+        targets = np.array(mlist)
+        margins = dict(zip(mlist, D.max(axis=1).tolist()))
+        witnesses = {m: tuple(targets[row].tolist()) for m, row in zip(mlist, udh)}
         mb1 = all(v <= eps for v in margins.values())
         mb2 = all(len(w) >= 2 for w in witnesses.values())
         scan.append((i, mb1, mb2))

@@ -14,9 +14,10 @@ import numpy as np
 from . import _svg, analysis, simulate, verify
 from .aggregation import (
     asymptotic_jump_chain,
+    boundary_exponents,
+    escape_exponents,
     find_metabasins,
     metastate_space,
-    transition_exponents,
     valley_transition_limits,
 )
 from .chain import build_metropolis
@@ -110,10 +111,9 @@ def cmd_analyze(args) -> int:
     with open(out / "saddles.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["a", "b", "saddle", "energy"])
-        for a in range(l.n):
-            for b in range(a + 1, l.n):
-                w.writerow([lab[a], lab[b], lab[table.state[a, b]],
-                            f"{table.energy[a, b]:.12g}"])
+        w.writerows([lab[a], lab[b], lab[z], f"{e:.12g}"] for a in range(l.n)
+                    for b, z, e in zip(range(a + 1, l.n), table.state[a, a + 1:].tolist(),
+                                       table.energy[a, a + 1:].tolist()))
     return 0
 
 
@@ -153,10 +153,8 @@ def cmd_aggregate(args) -> int:
     _write_json(Path(args.out) / "phat.json", {
         "level": level,
         "metastates": [lab[m] for m in jc.metastates],
-        "rows": {str(lab[m]): {str(lab[s]): float(jc.phat[jc.index(m), jc.index(s)])
-                               for s in jc.metastates
-                               if jc.phat[jc.index(m), jc.index(s)] > 0}
-                 for m in jc.metastates},
+        "rows": {str(lab[m]): {str(lab[s]): p for s, p in zip(jc.metastates, row) if p > 0}
+                 for m, row in zip(jc.metastates, jc.phat.tolist())},
     })
     model = build_metropolis(l, args.beta)
     with open(Path(args.out) / "transition_matrix.csv", "w", newline="") as fh:
@@ -164,15 +162,16 @@ def cmd_aggregate(args) -> int:
         w.writerow(["from", "to", "p"])
         for a, (to, p) in enumerate(model.rows):
             w.writerows([lab[a], lab[b], f"{q:.12g}"] for b, q in zip(to, p) if q > 0)
-    exps = transition_exponents(l, ms, table)
-    mlist, limits = valley_transition_limits(ms, jc)
+    mlist, D, udh = escape_exponents(l, ms, table)
+    _, limits = valley_transition_limits(ms, jc)
+    pairs = [(a, b, f"{lab[m]}->{lab[mp]}") for a, m in enumerate(mlist)
+             for b, mp in enumerate(mlist)]
     _write_json(Path(args.out) / "exponents.json", {
         "level": level,
-        "D": {f"{lab[m]}->{lab[mp]}": v for (m, mp), v in exps.D.items()},
-        "udh": {f"{lab[m]}->{lab[mp]}": v for (m, mp), v in exps.udh.items()},
-        "boundary": {f"{lab[m]}=>{lab[s]}": v for (m, s), v in exps.boundary_exp.items()},
-        "limits": {f"{lab[m]}->{lab[mp]}": float(limits[a, b])
-                   for a, m in enumerate(mlist) for b, mp in enumerate(mlist)},
+        "D": {key: D[a, b] for a, b, key in pairs if a != b},
+        "udh": {key: udh[a, b] for a, b, key in pairs if a != b},
+        "boundary": {f"{lab[m]}=>{lab[s]}": v for (m, s), v in boundary_exponents(l, ms).items()},
+        "limits": {key: limits[a, b] for a, b, key in pairs},
     })
     return 0
 

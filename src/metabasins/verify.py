@@ -21,7 +21,6 @@ from .aggregation import (
     metastate_space,
     reciprocating_order_test,
     transition_exponents,
-    valley_transition_limits,
 )
 from .chain import HittingQuery, build_metropolis, hitting_probability, expected_hitting_time
 from .filtration import scoppola_filtration
@@ -391,18 +390,18 @@ def c9_transition_exponents(fx: FixtureSet, beta_grid=None) -> CriterionResult:
         ms = metastate_space(fixture.decomps[level - 1], fixture.f)
         exps = transition_exponents(fixture.l, ms, fixture.table)
         models = {float(b): build_metropolis(fixture.l, float(b)) for b in betas}
-        for m in exps.metastables:
+        for i, m in enumerate(exps.metastables):
             trans = {float(b): exact_valley_transition(models[float(b)], ms, m)
                      for b in betas}
-            for mp in exps.metastables:
-                if mp == m or not exps.reachable[(m, mp)]:
+            for j, mp in enumerate(exps.metastables):
+                if mp == m or not exps.reachable[i, j]:
                     continue
                 probs = [trans[float(b)][mp] for b in betas]
                 if min(probs) <= 0:
                     continue
                 slope = analysis.ols_slope(betas, np.log(probs))
-                target = -exps.D[(m, mp)]
-                exact = exps.udh[(m, mp)] or exps.limit_positive[(m, mp)]
+                target = -exps.D[i, j]
+                exact = exps.udh[i, j] or exps.limits[i, j] > 0
                 name = f"{fixture.name}-L{level} {m}->{mp}"
                 curves[name] = (list(map(float, betas)), list(map(float, np.log(probs))))
                 if not _slope_ok(slope, target, exact):

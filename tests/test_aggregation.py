@@ -10,7 +10,9 @@ from metabasins import aggregation, reference, saddles
 from metabasins.aggregation import (
     MetastateSpace,
     StoppingTimes,
+    ExponentMatrix,
     asymptotic_jump_chain,
+    escape_exponents,
     exact_jump_distribution,
     exact_valley_transition,
     find_metabasins,
@@ -30,6 +32,11 @@ from metabasins import simulate
 
 def ms_at(fx, level):
     return metastate_space(fx.decomps[level - 1], fx.f)
+
+
+def at(exps, m, mp):
+    """Array position of the ordered valley pair (m, mp) in ``exps``."""
+    return exps.metastables.index(m), exps.metastables.index(mp)
 
 
 def test_metastate_space_l6(L6):
@@ -222,11 +229,12 @@ def test_first_entry_law_matches_lazy_simulation(triangle6):
 def test_exponent_matrix_l6(L6):
     ms2 = ms_at(L6, 2)
     exps2 = transition_exponents(L6.l, ms2, L6.table)
-    assert exps2.D[(0, 4)] == 0.0 and exps2.D[(4, 0)] == 0.0
+    assert exps2.D[at(exps2, 0, 4)] == 0.0 and exps2.D[at(exps2, 4, 0)] == 0.0
+    assert exps2.metastables == (0, 4) and np.allclose(exps2.limits, 0.5)
     ms1 = ms_at(L6, 1)
     exps1 = transition_exponents(L6.l, ms1, L6.table)
-    assert exps1.D[(0, 4)] == 1.0
-    assert exps1.D[(0, 2)] == 0.0
+    assert exps1.D[at(exps1, 0, 4)] == 1.0
+    assert exps1.D[at(exps1, 0, 2)] == 0.0
     assert exps1.boundary_exp[(2, 3)] == 1.0
     assert exps1.boundary_exp[(2, 1)] == 0.0
     # gates: level-1 boundary of valley 2 is {1, 3} with gate 1
@@ -242,11 +250,9 @@ def test_reciprocating_witness_l6(L6):
 
 
 def test_reciprocating_single_metastable():
-    from metabasins.aggregation import ExponentMatrix
-
-    lonely = ExponentMatrix(level=1, metastables=(0,), D={}, udh={},
-                            boundary_exp={}, limit_positive={(0, 0): True},
-                            reachable={(0, 0): True})
+    lonely = ExponentMatrix(level=1, metastables=(0,), D=np.full((1, 1), -np.inf),
+                            udh=np.zeros((1, 1), dtype=bool), boundary_exp={},
+                            limits=np.ones((1, 1)), reachable=np.ones((1, 1), dtype=bool))
     # no proper nonempty subset exists, so no witness can exist
     assert reciprocating_order_test(lonely, eps=0.1) is None
 
@@ -264,7 +270,8 @@ def test_reciprocating_enumeration_cap(L6):
     big = exps.__class__(
         level=1,
         metastables=tuple(range(21)),
-        D={}, udh={}, boundary_exp={}, limit_positive={}, reachable={},
+        D=np.zeros((21, 21)), udh=np.zeros((21, 21), dtype=bool), boundary_exp={},
+        limits=np.zeros((21, 21)), reachable=np.zeros((21, 21), dtype=bool),
     )
     with pytest.raises(ValueError):
         reciprocating_order_test(big, 1.0)
@@ -507,6 +514,12 @@ def _per_pair_exponents(l, ms, table):
     return D, udh, touches
 
 
+def _pairs(mlist, array, diagonal=False):
+    """A k x k exponent array as a dict over ordered valley pairs, as above."""
+    return {(m, mp): array[a, b].item() for a, m in enumerate(mlist)
+            for b, mp in enumerate(mlist) if diagonal or a != b}
+
+
 @pytest.fixture(scope="module")
 def random_scan_inputs():
     """(landscape, filtration, table, decompositions, level step) for random
@@ -524,20 +537,110 @@ def random_scan_inputs():
 
 def test_exponents_match_the_per_pair_search(L6, L14, L14X, random_scan_inputs):
     inputs = [(fx.l, fx.f, fx.table, fx.decomps, 1) for fx in (L6, L14, L14X)]
-    compared = tied = found = 0
+    compared = tied = found = no_limit = 0
     for l, f, table, decomps, step in inputs + random_scan_inputs:
         for i in range(1, f.levels - 1, step):
             ms = metastate_space(decomps[i - 1], f)
+            D, udh, touches = _per_pair_exponents(l, ms, table)
+            mlist, escape_D, escape_udh = escape_exponents(l, ms, table)
+            assert mlist == ms.valley_metastates
+            assert (_pairs(mlist, escape_D), _pairs(mlist, escape_udh)) == (D, udh)
+            assert (np.diag(escape_D) == -np.inf).all() and not np.diag(escape_udh).any()
             try:
-                valley_transition_limits(ms, asymptotic_jump_chain(l, ms))
-            except ValueError:
+                exps = transition_exponents(l, ms, table)
+            except ValueError as err:
+                assert "equal energy" in str(err)
+                no_limit += 1
                 continue   # no jump-chain limit at this level (ties only)
-            exps = transition_exponents(l, ms, table)
-            assert (exps.D, exps.udh, exps.reachable) == _per_pair_exponents(l, ms, table)
+            assert (_pairs(mlist, exps.D), _pairs(mlist, exps.udh),
+                    _pairs(mlist, exps.reachable, diagonal=True)) == (D, udh, touches)
             compared += 1
             tied += len(set(l.energy.tolist())) < l.n
-            found += sum(exps.udh.values())
-    assert compared > 150 and tied > 50 and found > 5000
+            found += int(exps.udh.sum())
+    assert compared > 150 and tied > 50 and found > 5000 and no_limit > 0
+
+
+def _oracle_levels(l, f, decomps, table):
+    """Per scan level: valley partition, D and udh pair dicts from the full
+    ``transition_exponents``, or from the per-pair search at a level where the
+    jump-chain limit does not exist (ties only)."""
+    levels = []
+    for i in range(1, f.levels - 1):
+        ms = metastate_space(decomps[i - 1], f)
+        try:
+            exps = transition_exponents(l, ms, table)
+            D, udh = _pairs(exps.metastables, exps.D), _pairs(exps.metastables, exps.udh)
+        except ValueError as err:
+            assert "equal energy" in str(err)
+            D, udh, _ = _per_pair_exponents(l, ms, table)
+        levels.append((i, ms.valley_metastates, dict(ms.valley_of), D, udh))
+    return levels
+
+
+def _oracle_report(levels, eps):
+    """(level, partition, mb1_margin, mb2_witnesses, scan) of the per-pair scan."""
+    scan = []
+    for i, mlist, partition, D, udh in levels:
+        margins, witnesses = {}, {}
+        for m in mlist:
+            others = [mp for mp in mlist if mp != m]
+            margins[m] = max((D[(m, mp)] for mp in others), default=-math.inf)
+            witnesses[m] = tuple(mp for mp in others if udh[(m, mp)])
+        mb1 = all(v <= eps for v in margins.values())
+        mb2 = all(len(w) >= 2 for w in witnesses.values())
+        scan.append((i, mb1, mb2))
+        if mb1 and mb2:
+            return i, partition, margins, witnesses, tuple(scan)
+    return None, None, {}, {}, tuple(scan)
+
+
+def test_find_metabasins_matches_the_full_exponent_scan(L6, L14, L14X, random_scan_inputs):
+    inputs = [(fx.l, fx.f, fx.table, fx.decomps) for fx in (L6, L14, L14X)]
+    inputs += [(l, f, table, decomps) for l, f, table, decomps, _ in random_scan_inputs]
+    scanned = qualified = 0
+    for l, f, table, decomps in inputs:
+        levels = _oracle_levels(l, f, decomps, table)
+        for eps in (0.5, 1.0, 2.5, 5.0, 1e9):
+            report = find_metabasins(l, eps, f, decomps, table)
+            got = (report.level, report.partition, report.mb1_margin,
+                   report.mb2_witnesses, report.scan)
+            assert got == _oracle_report(levels, eps)
+            assert report.order == eps
+            scanned += len(report.scan)
+            qualified += report.level is not None
+    assert scanned > 1300 and qualified >= 5
+
+
+def test_mb_scan_builds_no_jump_chain(L14X, random_scan_inputs, monkeypatch):
+    calls = []
+    for name in ("asymptotic_jump_chain", "valley_transition_limits"):
+        real = getattr(aggregation, name)
+        monkeypatch.setattr(aggregation, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    assert find_metabasins(L14X.l, 2.5, L14X.f, L14X.decomps, L14X.table).level == 5
+    for l, f, table, decomps, _ in random_scan_inputs[:2]:
+        assert find_metabasins(l, 0.5, f, decomps, table).level is None
+    assert calls == []
+    # the guard sees the calls of the full exponents
+    transition_exponents(L14X.l, ms_at(L14X, 5), L14X.table)
+    assert calls == ["asymptotic_jump_chain", "valley_transition_limits"]
+
+
+def test_tied_energies_scan_without_a_jump_chain_limit():
+    # flat non-assigned neighbours hand over to each other in the limit chain,
+    # so the jump-chain limit does not exist; the metabasin scan never needs it
+    l = gen_random_landscape(60, 4, 0.05, 1)
+    tied = Landscape(np.round(l.energy, 0), l.neighbors)
+    f = scoppola_filtration(tied)
+    report = find_metabasins(tied, 0.5, f)
+    assert len(report.scan) == f.levels - 2 and report.level is None
+    assert all(mb1 for _, mb1, _ in find_metabasins(tied, 1e9, f).scan)
+    ms = metastate_space(decompose_all(tied, f)[0], f)
+    assert tied.energy[1] == tied.energy[20] and 20 in tied.neighbors[1]
+    with pytest.raises(ValueError, match=r"equal energy: \[\(1, 20\), "):
+        valley_transition_limits(ms, asymptotic_jump_chain(tied, ms))
+    with pytest.raises(ValueError, match="equal energy"):
+        transition_exponents(tied, ms)
 
 
 def test_nonassigned_states_lie_above_their_valley_neighbours(L6, L14, L14X,
@@ -567,11 +670,22 @@ def test_exponents_refuse_a_gate_that_rises_into_a_valley():
     assert saddles.uphill_downhill_path(l, 1, 4, frozenset({0})) is not None
     with pytest.raises(ValueError, match="not a valley decomposition"):
         transition_exponents(l, ms)
+    with pytest.raises(ValueError, match="not a valley decomposition"):
+        escape_exponents(l, ms)
+
+
+def test_escape_exponents_need_non_assigned_gates(L6):
+    with pytest.raises(ValueError, match=r"valley 4 has no non-assigned exit gate \(gate None\)"):
+        escape_exponents(L6.l, ms_at(L6, 3), L6.table)
+    ms = ms_at(L6, 1)
+    inside = dataclasses.replace(ms, gate_of={**ms.gate_of, 0: 0})
+    with pytest.raises(ValueError, match=r"valley 0 has no non-assigned exit gate \(gate 0\)"):
+        escape_exponents(L6.l, inside, L6.table)
 
 
 def test_mb_scan_runs_two_monotone_searches_per_valley(monkeypatch):
     pair_calls, searches, levels = [], [0], []
-    real_search, real_exponents = aggregation.rising_reach, aggregation.transition_exponents
+    real_search, real_exponents = aggregation.rising_reach, aggregation.escape_exponents
 
     def counting_search(*args):
         searches[0] += 1
@@ -579,16 +693,16 @@ def test_mb_scan_runs_two_monotone_searches_per_valley(monkeypatch):
 
     def counting_exponents(l, ms, table=None):
         before = searches[0]
-        exps = real_exponents(l, ms, table)
-        levels.append((searches[0] - before, len(exps.metastables)))
-        return exps
+        mlist, D, udh = real_exponents(l, ms, table)
+        levels.append((searches[0] - before, len(mlist)))
+        return mlist, D, udh
 
     for module, name in ((saddles, "uphill_downhill_path"), (saddles, "_monotone_leg"),
                          (aggregation, "uphill_downhill_path")):
         monkeypatch.setattr(module, name, lambda *a, **k: pair_calls.append(a),
                             raising=False)
     monkeypatch.setattr(aggregation, "rising_reach", counting_search)
-    monkeypatch.setattr(aggregation, "transition_exponents", counting_exponents)
+    monkeypatch.setattr(aggregation, "escape_exponents", counting_exponents)
     seeds = [s for s in range(60) if len(local_minima(gen_random_landscape(48, 4, 0.05, s))) == 16]
     for s in seeds[:4]:
         find_metabasins(gen_random_landscape(48, 4, 0.05, s), 0.5)

@@ -44,3 +44,15 @@ def test_imports_only_stdlib_and_numpy():
     assert imported
     assert [(where, name) for where, name in imported
             if name.split(".")[0] not in allowed] == []
+
+
+def test_one_absorbing_chain_solve():
+    # linear systems are solved in chain._absorbing_solve, and for the
+    # jump-chain limit's first valley entries in valley_transition_limits
+    solvers = [f"{name}:{fn.name}" for name, tree in TREES.items()
+               for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", getattr(node.func, "id", None)) == "solve"]
+    assert len(calls("solve")) == len(solvers)
+    assert sorted(solvers) == ["aggregation.py:valley_transition_limits",
+                               "chain.py:_absorbing_solve"]
