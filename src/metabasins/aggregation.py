@@ -271,18 +271,22 @@ def escape_exponents(l: Landscape, ms: MetastateSpace, table: SaddleTable | None
     energy = l.energy.tolist()
     # the valley metastate owning each state, -1 for a non-assigned state
     vrep = [-1 if s in ms.nonassigned else r for s, r in enumerate(ms.rep_of.tolist())]
-    down = np.zeros((len(mlist), l.n), dtype=bool)
-    up = np.zeros_like(down)
+    # flat positions a * n + s of the true entries of the k x n masks Down and Up
+    down_at, up_at = [], []
     for a, (m, gate) in enumerate(zip(mlist, gates)):
         if gate not in ms.nonassigned:
             raise ValueError(f"valley {m} has no non-assigned exit gate (gate {gate}); "
                              "its exponents are undefined at this level")
-        down[a, list(rising_reach(l.neighbors, energy, m, vrep, (-1, m))[0])] = True
+        base = a * l.n
+        down_at += [base + s for s in rising_reach(l.neighbors, energy, m, vrep, (-1, m))[0]]
         reached, entered = rising_reach(l.neighbors, energy, gate, vrep, (-1,))
         if entered:
             raise ValueError(f"the gate of {m} rises into the valleys of {sorted(entered)}; "
                              "the metastate space is not a valley decomposition")
-        up[a, list(reached)] = True
+        up_at += [base + s for s in reached]
+    down, up = np.zeros((2, len(mlist), l.n), dtype=bool)
+    down.flat[down_at] = True
+    up.flat[up_at] = True
     D = table.energy[np.ix_(mlist, mlist)] - l.energy[gates][:, None]
     z = table.state[np.ix_(gates, mlist)]
     cols = np.arange(len(mlist))

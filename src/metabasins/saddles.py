@@ -10,9 +10,10 @@ outer boundary equal to the boundary state's energy.
 One energy-stamped union-find sweep (``Sweep``, the merge forest of the
 sublevel sets) answers every saddle question: ``saddle_table`` replays its
 links, ``essential_saddle`` reads one pair from its root paths, and the valley
-layer asks it whether two states connect below a barrier outside a strict
-basin. The tests check it against a minimax Dijkstra and path enumeration
-in ``reference``. ``rising_reach`` is the strictly rising search of the
+layer, with a level's strict basins as labelled walls, asks it which basins a
+state's walled sublevel component borders. The tests check it against a
+minimax Dijkstra, a sublevel breadth-first search and path enumeration in
+``reference``. ``rising_reach`` is the strictly rising search of the
 metabasin scan; ``uphill_downhill_path``, the per-pair search it replaced
 there, is kept as the tests' oracle.
 """
@@ -52,29 +53,44 @@ class SaddleTable:
 
 
 class Sweep:
-    """The increasing-energy merge forest of the states outside ``avoid``.
+    """The increasing-energy merge forest of the states outside the walls.
 
-    States enter in increasing energy. An entering state z is linked to each
-    active neighbour in another component: the smaller root points to the
-    larger (union by size, no path compression) and the link records z
-    (``via``) and E(z) (``stamp``); ``links`` lists the absorbed roots in the
-    order their links formed. Stamps are non-decreasing towards a root, so
-    following the links stamped <= e from s ends at the representative of s's
-    component in the sublevel set {x : E(x) <= e} minus ``avoid``.
+    ``wall[s]`` is a label >= 0 for a wall state and -1 otherwise; walls never
+    join the forest. States enter in increasing energy. An entering state z is
+    linked to each active neighbour in another component: the smaller root
+    points to the larger (union by size, no path compression) and the link
+    records z (``via``) and E(z) (``stamp``); ``links`` lists the absorbed roots
+    in the order their links formed. Stamps are non-decreasing towards a root,
+    so following the links stamped <= e from s ends at the representative of
+    s's component in the sublevel set {x : E(x) <= e} minus the walls.
+
+    A component touches a wall w through an edge (v, w) once both lie in the
+    sublevel set, at max(E(v), E(w)). Each root keeps, per wall label, the
+    energy at which its component first touched a wall with that label
+    (``touch``); a link passes the absorbed root's labels on at its stamp.
     """
 
-    def __init__(self, l: Landscape, avoid=frozenset()):
+    def __init__(self, l: Landscape, wall=None):
         energy = l.energy.tolist()
+        wall = [-1] * l.n if wall is None else wall
         self.parent = parent = list(range(l.n))
         self.stamp = stamp = [math.inf] * l.n
         self.via = via = [-1] * l.n
         self.links = links = []
-        size, active = [1] * l.n, [False] * l.n
+        self.touch = touch = {}   # root -> {wall label: first touch energy}
+        size, active, passed = [1] * l.n, [False] * l.n, [False] * l.n
         for z in np.argsort(l.energy).tolist():
-            if z in avoid:
+            ez = energy[z]
+            if wall[z] >= 0:
+                passed[z] = True
+                for u in l.neighbors[z]:
+                    if active[u]:
+                        touch.setdefault(self._root(u, math.inf), {}).setdefault(wall[z], ez)
                 continue
             active[z] = True
             for u in l.neighbors[z]:
+                if passed[u]:
+                    touch.setdefault(self._root(z, math.inf), {}).setdefault(wall[u], ez)
                 if not active[u]:
                     continue
                 a, b = self._root(z, math.inf), self._root(u, math.inf)
@@ -82,9 +98,13 @@ class Sweep:
                     continue
                 if size[a] < size[b]:
                     a, b = b, a
-                parent[b], stamp[b], via[b] = a, energy[z], z
+                parent[b], stamp[b], via[b] = a, ez, z
                 size[a] += size[b]
                 links.append(b)
+                if b in touch:
+                    merged = touch.setdefault(a, {})
+                    for label in touch[b]:
+                        merged.setdefault(label, ez)
 
     def _root(self, v: int, e: float) -> int:
         parent, stamp = self.parent, self.stamp
@@ -100,13 +120,10 @@ class Sweep:
             path.append(v)
         return path
 
-    def connected(self, s: int, t: int, e: float) -> bool:
-        """``sublevel_connected(l, s, t, e, avoid)`` for distinct s and t.
-
-        A state above e or avoided is never reached by a link stamped <= e,
-        so it is its own representative and joins nothing.
-        """
-        return self._root(s, e) == self._root(t, e)
+    def touched(self, s: int, e: float) -> list[int]:
+        """Wall labels bordering s's component of {E <= e} minus the walls (none if E(s) > e)."""
+        touches = self.touch.get(self._root(s, e), {})
+        return [label for label, first in touches.items() if first <= e]
 
 
 def saddle_table(l: Landscape) -> SaddleTable:

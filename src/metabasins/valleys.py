@@ -9,15 +9,15 @@ pairwise disjoint and connected.
 
 A state s is attracted by m when m realizes the least saddle energy from s
 and every minimal path to an equally cheap competitor passes through the
-strict basin of m. The path clause reduces to connectivity of the saddle-level
-sublevel set with the strict basin removed; that reduction is validated
+strict basin of m. For a tied state this is one question about its component
+of the saddle-level sublevel set with every strict basin walled off: which
+basins it borders (proof in ``_Level.target``). The path clause is validated
 against literal path enumeration in the tests.
 
 Per level, strict basins and the least-saddle clause come from the saddle
-table's columns at M in one pass (row minimum, runner-up, argmin). The path
-clause is read from the saddle sweep (``saddles.Sweep``) run once per distinct
-strict basin with that basin left out, which answers every barrier at once;
-``decompose_all`` shares the sweeps across levels, since strict basins repeat.
+table's columns at M in one pass (row minimum, runner-up, argmin). If the
+level has a tied state, one saddle sweep (``saddles.Sweep``) with the level's
+strict basins as labelled walls answers every tie at once.
 """
 
 from __future__ import annotations
@@ -51,68 +51,54 @@ def strict_basin(l: Landscape, table: SaddleTable, M, m: int) -> frozenset[int]:
 class _Level:
     """Strict basins and attraction among one metastable set M."""
 
-    def __init__(self, l: Landscape, table: SaddleTable, M, sweeps: dict):
-        self.l = l
+    def __init__(self, l: Landscape, table: SaddleTable, M):
         self.M = frozenset(M)
-        self.sweeps = sweeps
-        self.cols = sorted(self.M)
-        self.E = table.energy[:, self.cols]
-        least = self.E.min(axis=1)
-        if len(self.cols) > 1:
-            unique = least < np.partition(self.E, 1, axis=1)[:, 1]
+        cols = sorted(self.M)
+        E = table.energy[:, cols]
+        least = E.min(axis=1)
+        if len(cols) > 1:
+            unique = least < np.partition(E, 1, axis=1)[:, 1]
         else:
             unique = np.ones(l.n, dtype=bool)
-        arg = np.argmin(self.E, axis=1)
-        self.least, self.unique, self.arg = least.tolist(), unique.tolist(), arg.tolist()
-        # a metastable state is the strict row minimum of its own column; the
-        # basin is filled in increasing state order so that it iterates in the
-        # same order as ``strict_basin``'s (bound sums run over it)
-        self.strict = {}
-        for m in self.M:
-            basin = {m}
-            basin.update(s for s in np.flatnonzero(unique & (arg == self.cols.index(m))).tolist()
-                         if s != m)
-            self.strict[m] = frozenset(basin)
-
-    def _minimizers(self, s: int) -> list[int]:
-        """The metastable states that realise the least saddle energy from s."""
-        if self.unique[s]:
-            return [self.cols[self.arg[s]]]
-        return [self.cols[j] for j in np.flatnonzero(self.E[s] == self.least[s]).tolist()]
-
-    def attracts(self, s: int, m: int) -> bool:
-        """Is s attracted by m?"""
-        if s == m:
-            return True
-        if s in self.M:
-            return False
-        tied = self._minimizers(s)
-        return m in tied and self._wins_ties(s, m, tied)
-
-    def _wins_ties(self, s: int, m: int, tied: list[int]) -> bool:
-        """Does every minimal path from s to another minimizer hit m's strict basin?"""
-        if len(tied) == 1:
-            return True
-        basin = self.strict[m]
-        sweep = self.sweeps.get(basin)
-        if sweep is None:
-            sweep = self.sweeps[basin] = Sweep(self.l, basin)
-        return not any(sweep.connected(s, mp, self.least[s]) for mp in tied if mp != m)
+        # the bottom whose strict basin holds each state, -1 for a tied state
+        owner = np.where(unique, np.array(cols)[np.argmin(E, axis=1)], -1)
+        owner[cols] = cols
+        self.owner, self.least, self.energy = owner.tolist(), least.tolist(), l.energy.tolist()
+        # a basin is filled with its bottom first and then in increasing state
+        # order, so that it iterates as ``strict_basin``'s (bound sums run over it)
+        self.strict = {m: frozenset({m, *np.flatnonzero(owner == m).tolist()}) for m in self.M}
+        self.sweep = Sweep(l, self.owner) if (owner < 0).any() else None
 
     def target(self, s: int) -> int | None:
-        """The minimum attracting s (s outside M), or None."""
-        tied = self._minimizers(s)
-        hits = [m for m in tied if self._wins_ties(s, m, tied)]
-        if len(hits) > 1:
-            raise ValueError(f"state {s} attracted by several minima {hits}")
-        return hits[0] if hits else None
+        """The metastable state attracting s, or None.
+
+        A strict-basin state is attracted by its bottom. For a tied state s
+        with least saddle energy L, let C be its component of {E <= L} and T
+        its tied minimizers. By the ultrametric inequality of saddle energies:
+        - C holds exactly the metastable states of T;
+        - each S(m), m in T, is connected, lies strictly below L (so inside C)
+          and is disjoint from the other basins;
+        - no basin of a metastable state outside T meets C.
+        So s reaches another minimizer m' in C minus S(m) iff it reaches S(m').
+        A path from s leaves its walled component (C minus every basin) only
+        into a basin, and that component borders at least one, since C is
+        connected and holds one. So s is attracted by m iff the walled
+        component borders S(m) and no other basin, and by at most one minimum.
+        """
+        if self.energy[s] > self.least[s]:
+            raise ValueError(f"state {s} lies above its least saddle energy {self.least[s]}; "
+                             "the saddle table does not belong to the landscape")
+        if self.owner[s] >= 0:
+            return self.owner[s]
+        touched = self.sweep.touched(s, self.least[s])
+        return touched[0] if len(touched) == 1 else None
 
 
 def attracted(l: Landscape, table: SaddleTable, M, s: int, m: int) -> bool:
     """Is s attracted by m among the metastable set M?"""
     if m not in M:
         raise ValueError("m is not metastable at this level")
-    return _Level(l, table, M, {}).attracts(s, m)
+    return _Level(l, table, M).target(s) == m
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,42 +141,30 @@ def decompose_all(l: Landscape, f: Filtration,
         table = saddle_table(l)
     levels: list[ValleyDecomposition] = []
     order = f.deletion_order
-    sweeps: dict = {}
+    # level 1 starts with every state non-assigned; each bottom attracts itself
+    valley = {m: frozenset() for m in f.M(1)}
+    nonassigned = frozenset(range(l.n))
+    gates, attracted_at = {}, {}
+    merge_level = {j: math.inf for j in range(1, f.levels + 1)}
+    pending: dict[int, tuple[int, frozenset[int], int | None]] = {}
     for i in range(1, f.levels + 1):
-        M = f.M(i)
-        level = _Level(l, table, M, sweeps)
-        if i == 1:
-            valley = {m: set() for m in M}
-            for s in range(l.n):
-                t = s if s in M else level.target(s)
-                if t is not None:
-                    valley[t].add(s)
-            attracted_at = {
-                s: (t, 1)
-                for t, members in valley.items() for s in members if s != t
-            }
-            merge_level = {j: math.inf for j in range(1, f.levels + 1)}
-            pending: dict[int, tuple[int, frozenset[int], int | None]] = {}
-        else:
-            prev = levels[-1]
-            valley = {m: set(prev.valley[m]) for m in M}
-            attracted_at = dict(prev.attracted_at)
-            merge_level = dict(prev.merge_level)
-            pending = dict(prev.pending)
-            dropped = order[i - 2]  # the minimum deleted when entering level i
-            pending[dropped] = (i - 1, prev.valley[dropped], prev.exit_gate[dropped])
-            for s in sorted(prev.nonassigned):
-                t = level.target(s)
-                if t is not None:
-                    valley[t].add(s)
+        level = _Level(l, table, f.M(i))
+        for dropped in [m for m in valley if m not in level.M]:  # deleted entering level i
+            pending[dropped] = (i - 1, valley[dropped], gates[dropped])
+        grown = {m: set(valley[m]) for m in level.M}
+        for s in sorted(nonassigned):
+            t = level.target(s)
+            if t is not None:
+                grown[t].add(s)
+                if t != s:
                     attracted_at[s] = (t, i)
-            for p in sorted(pending):
-                t = level.target(p)
-                if t is not None:
-                    own_level, states, _ = pending.pop(p)
-                    valley[t].update(states)
-                    attracted_at[p] = (t, i)
-                    merge_level[order.index(p) + 1] = i
+        for p in sorted(pending):
+            t = level.target(p)
+            if t is not None:
+                grown[t].update(pending.pop(p)[1])
+                attracted_at[p] = (t, i)
+                merge_level[order.index(p) + 1] = i
+        valley = {m: frozenset(v) for m, v in grown.items()}
         assigned = set().union(*valley.values()) if valley else set()
         for _, states, _ in pending.values():
             assigned.update(states)
@@ -199,12 +173,12 @@ def decompose_all(l: Landscape, f: Filtration,
         levels.append(ValleyDecomposition(
             level=i,
             strict=level.strict,
-            valley={m: frozenset(v) for m, v in valley.items()},
+            valley=valley,
             nonassigned=nonassigned,
-            attracted_at=attracted_at,
-            merge_level=merge_level,
+            attracted_at=dict(attracted_at),
+            merge_level=dict(merge_level),
             exit_gate=gates,
-            pending=pending,
+            pending=dict(pending),
         ))
     return levels
 

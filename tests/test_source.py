@@ -56,3 +56,24 @@ def test_one_absorbing_chain_solve():
     assert len(calls("solve")) == len(solvers)
     assert sorted(solvers) == ["aggregation.py:valley_transition_limits",
                                "chain.py:_absorbing_solve"]
+
+
+def test_merge_forest_built_only_for_saddles_and_ties():
+    # the one union-find is built for the saddle table, one pair's saddle and
+    # a level's tie test; the valley layer builds it once per level at most
+    def scopes(tree):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield node.name, node
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        yield f"{node.name}.{fn.name}", fn
+
+    builders = [f"{name[:-3]}.{scope}" for name, tree in TREES.items()
+                for scope, fn in scopes(tree) for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "Sweep"]
+    assert len(calls("Sweep")) == len(builders)
+    assert sorted(builders) == ["saddles.essential_saddle", "saddles.saddle_table",
+                                "valleys._Level.__init__"]

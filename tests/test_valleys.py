@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from metabasins import reference
+from metabasins import reference, valleys
 from metabasins.filtration import scoppola_filtration
-from metabasins.landscape import gen_random_landscape
+from metabasins.landscape import Landscape, gen_random_landscape, reachable
 from metabasins.reference import decompose
-from metabasins.saddles import SaddleTable, Sweep, saddle_table, sublevel_connected
+from metabasins.saddles import SaddleTable, Sweep, saddle_table
 from metabasins.valleys import (
     _Level,
+    _gate,
     attracted,
     build_tree,
     connectivity_params,
@@ -47,7 +48,16 @@ def test_vectorised_strict_basins_match_per_state_loop(seed):
     table = saddle_table(l)
     for i in range(1, f.levels + 1):
         M = f.M(i)
-        assert _Level(l, table, M, {}).strict == {m: strict_basin(l, table, M, m) for m in M}
+        assert _Level(l, table, M).strict == {m: strict_basin(l, table, M, m) for m in M}
+
+
+def _sublevel_touches(l, wall, s, barrier):
+    """Wall labels bordering s's component of {E <= barrier} minus the walls, by BFS."""
+    allowed = {v for v in range(l.n) if l.energy[v] <= barrier and wall[v] < 0}
+    if s not in allowed:
+        return set()
+    return {wall[u] for v in reachable(l, s, allowed) for u in l.neighbors[v]
+            if wall[u] >= 0 and l.energy[u] <= barrier}
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -55,14 +65,15 @@ def test_swept_connectivity_matches_sublevel_bfs(seed):
     l = gen_random_landscape(8 + 3 * seed, 3, 0.05, seed=9100 + seed)
     rng = np.random.default_rng(seed)
     for _ in range(4):
-        avoid = frozenset(int(v) for v in rng.choice(l.n, size=int(rng.integers(0, 5)),
-                                                     replace=False))
-        sweep = Sweep(l, avoid)
+        wall = [-1] * l.n
+        for v in rng.choice(l.n, size=int(rng.integers(0, 5)), replace=False):
+            wall[int(v)] = int(rng.integers(0, 3))
+        sweep = Sweep(l, wall)
         for _ in range(20):
-            s, t = (int(v) for v in rng.choice(l.n, size=2, replace=False))
+            s = int(rng.integers(l.n))
             # energies themselves probe the inclusive end of the sublevel set
             barrier = float(rng.choice(l.energy)) + float(rng.choice([-0.01, 0.0, 0.01]))
-            assert sweep.connected(s, t, barrier) == sublevel_connected(l, s, t, barrier, avoid)
+            assert sorted(sweep.touched(s, barrier)) == sorted(_sublevel_touches(l, wall, s, barrier))
 
 
 def test_several_attracting_minima_raise(L6):
@@ -71,8 +82,150 @@ def test_several_attracting_minima_raise(L6):
     energy = L6.table.energy.copy()
     for m in (0, 2):
         energy[1, m] = energy[m, 1] = 0.5
-    with pytest.raises(ValueError, match="several minima"):
+    with pytest.raises(ValueError, match="state 1 lies above its least saddle energy"):
         decompose_all(L6.l, L6.f, SaddleTable(L6.table.state, energy))
+
+
+def _tied_twin(l, decimals=0):
+    """The landscape with its energies rounded, so energies and saddles tie."""
+    return Landscape(np.round(l.energy, decimals), l.neighbors)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_attracted_matches_path_enumeration(seed):
+    base = gen_random_landscape(4 + seed % 7, 3, 0.05, seed=7300 + seed)
+    compared = 0
+    for l in (base, _tied_twin(base, 1)):
+        f = scoppola_filtration(l)
+        table = saddle_table(l)
+        cache = reference.PathCache(l)
+        for i in range(1, f.levels + 1):
+            M = f.M(i)
+            strict = {m: reference.strict_basin_oracle(cache, M, m) for m in M}
+            for s in range(l.n):
+                for m in M:
+                    assert attracted(l, table, M, s, m) == reference.attracted_oracle(
+                        cache, M, s, m, strict[m])
+                    compared += 1
+    assert compared >= 2 * base.n
+
+
+def _per_triple_decompose(l, f, table):
+    """The valley recursion with each tie decided per (state, minimizer,
+    competitor): s is attracted by a tied minimizer m when no competitor
+    connects to s below the least saddle energy outside m's strict basin."""
+    energy = l.energy.tolist()
+    forests = {}
+
+    def connected(avoid, s, t, e):
+        if avoid not in forests:
+            parent, stamp, size = list(range(l.n)), [math.inf] * l.n, [1] * l.n
+            forests[avoid] = parent, stamp
+            active = [False] * l.n
+            for z in np.argsort(l.energy).tolist():
+                if z in avoid:
+                    continue
+                active[z] = True
+                for u in l.neighbors[z]:
+                    a, b = root(avoid, z, math.inf), root(avoid, u, math.inf)
+                    if active[u] and a != b:
+                        a, b = (a, b) if size[a] >= size[b] else (b, a)
+                        parent[b], stamp[b] = a, energy[z]
+                        size[a] += size[b]
+        return root(avoid, s, e) == root(avoid, t, e)
+
+    def root(avoid, v, e):
+        parent, stamp = forests[avoid]
+        while parent[v] != v and stamp[v] <= e:
+            v = parent[v]
+        return v
+
+    def target(M, strict, s):
+        row = {m: table.energy[s, m] for m in M}
+        least = min(row.values())
+        tied = [m for m in sorted(M) if row[m] == least]
+        hits = [m for m in tied if not any(connected(strict[m], s, mp, least)
+                                           for mp in tied if mp != m)]
+        assert len(hits) <= 1
+        return hits[0] if hits else None
+
+    levels = []
+    order = f.deletion_order
+    for i in range(1, f.levels + 1):
+        M = f.M(i)
+        strict = _Level(l, table, M).strict
+        if i == 1:
+            valley = {m: {m} for m in M}
+            attracted_at, pending = {}, {}
+            merge_level = {j: math.inf for j in range(1, f.levels + 1)}
+            for s in range(l.n):
+                t = None if s in M else target(M, strict, s)
+                if t is not None:
+                    valley[t].add(s)
+                    attracted_at[s] = (t, 1)
+        else:
+            prev = levels[-1]
+            valley = {m: set(prev.valley[m]) for m in M}
+            attracted_at, merge_level = dict(prev.attracted_at), dict(prev.merge_level)
+            pending = dict(prev.pending)
+            dropped = order[i - 2]
+            pending[dropped] = (i - 1, prev.valley[dropped], prev.exit_gate[dropped])
+            for s in sorted(prev.nonassigned):
+                t = target(M, strict, s)
+                if t is not None:
+                    valley[t].add(s)
+                    attracted_at[s] = (t, i)
+            for p in sorted(pending):
+                t = target(M, strict, p)
+                if t is not None:
+                    valley[t].update(pending.pop(p)[1])
+                    attracted_at[p] = (t, i)
+                    merge_level[order.index(p) + 1] = i
+        assigned = set().union(*valley.values(), *(v for _, v, _ in pending.values()))
+        levels.append(valleys.ValleyDecomposition(
+            level=i, strict=strict, valley={m: frozenset(v) for m, v in valley.items()},
+            nonassigned=frozenset(range(l.n)) - assigned, attracted_at=attracted_at,
+            merge_level=merge_level, exit_gate={m: _gate(l, v) for m, v in valley.items()},
+            pending=pending))
+    return levels
+
+
+def _decomposition_inputs(L6, L14, L14X):
+    out = [fx.l for fx in (L6, L14, L14X)]
+    for n in (60, 150, 300):
+        out.append(gen_random_landscape(n, 4, 0.05, 1))
+    return out + [_tied_twin(l) for l in out]
+
+
+def test_decompose_all_matches_the_per_triple_rule(L6, L14, L14X):
+    tied_levels = 0
+    for l in _decomposition_inputs(L6, L14, L14X):
+        f = scoppola_filtration(l)
+        table = saddle_table(l)
+        got, want = decompose_all(l, f, table), _per_triple_decompose(l, f, table)
+        assert len(got) == len(want) == f.levels
+        for d, w in zip(got, want):
+            assert (d.level, d.strict, d.valley, d.nonassigned) == (
+                w.level, w.strict, w.valley, w.nonassigned)
+            assert (d.attracted_at, d.merge_level, d.exit_gate, d.pending) == (
+                w.attracted_at, w.merge_level, w.exit_gate, w.pending)
+        tied_levels += sum(_Level(l, table, f.M(i)).sweep is not None
+                           for i in range(1, f.levels + 1))
+    assert tied_levels > 100
+
+
+def test_decompose_all_builds_at_most_one_sweep_per_level(L6, L14, L14X, monkeypatch):
+    built = []
+
+    def counting_sweep(*args):
+        built.append(args)
+        return Sweep(*args)
+
+    monkeypatch.setattr(valleys, "Sweep", counting_sweep)
+    for fx in (L6, L14, L14X):
+        built.clear()
+        decompose_all(fx.l, fx.f, fx.table)
+        assert 0 < len(built) <= fx.f.levels
 
 
 def test_decompose_l6_levels(L6):
