@@ -77,8 +77,8 @@ def test_swept_connectivity_matches_sublevel_bfs(seed):
 
 
 def test_several_attracting_minima_raise(L6):
-    # a doctored table puts state 1's tied saddles below its own energy, so no
-    # sublevel path can disprove either attraction
+    # a doctored table puts state 1's tied saddles below its own energy, which
+    # no saddle table of the landscape does
     energy = L6.table.energy.copy()
     for m in (0, 2):
         energy[1, m] = energy[m, 1] = 0.5
