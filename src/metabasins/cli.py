@@ -7,6 +7,8 @@ import csv
 import json
 import math
 import sys
+from functools import cache
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -27,33 +29,71 @@ from .saddles import saddle_table
 from .valleys import decompose_all, tree_to_dot, build_tree
 
 
-def _plain(obj):
-    """JSON-ready copy of ``obj``: builtin scalars, string keys, sorted frozensets.
+_ESC = json.encoder.encode_basestring_ascii
 
-    Floats keep 12 significant digits so that reruns are byte-identical; a
-    non-finite float is written as the string "inf", "-inf" or "nan".
+
+def _json(obj, pad: str = "\n") -> str:
+    """``obj`` as JSON with one-space indent and sorted keys, in one pass.
+
+    Keys are ``str(k)``, frozensets are sorted, numpy scalars become builtin
+    ones and floats keep 12 significant digits, so that reruns are
+    byte-identical; a non-finite float is written as the string "inf", "-inf"
+    or "nan". ``pad`` is the newline and indent that close ``obj``. Any other
+    type raises ``TypeError``, as ``json.dumps`` does.
     """
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, frozenset):
         obj = sorted(obj)
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        if not obj:
+            return "[]"
+        inner = pad + " "
+        if {*map(type, obj)} == {int}:
+            body = ("," + inner).join(map(str, obj))
+        else:
+            body = ("," + inner).join([_json(v, inner) for v in obj])
+        return "[" + inner + body + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + " "
+        return "{" + inner + ("," + inner).join(_entries(obj, inner)) + pad + "}"
+    if isinstance(obj, str):
+        return _ESC(obj)
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
-        return float(f"{v:.12g}") if math.isfinite(v) else repr(v)
-    return obj
+        return repr(float(f"{v:.12g}")) if math.isfinite(v) else f'"{v!r}"'
+    if obj is None:
+        return "null"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _write_json(path: Path, obj) -> None:
+def _entries(obj: dict, pad: str):
+    """``"key": value`` of each entry, sorted by key; ``pad`` indents the entries."""
+    for k, v in sorted({str(k): v for k, v in obj.items()}.items()):
+        yield _ESC(k) + ": " + _json(v, pad)
+
+
+def _write_json(path: Path, obj: dict) -> None:
+    """``_json(obj)`` and a newline, written one top-level entry at a time."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(_plain(obj), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        sep = "{\n "
+        for entry in _entries(obj, "\n "):
+            fh.write(sep + entry)
+            sep = ",\n "
+        fh.write("\n}\n" if obj else "{}\n")
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """A CSV file as csv's default dialect writes it: the header line, then
+    ``rows``, strings of whole CRLF-ended lines whose cells need no quoting."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        fh.writelines(rows)
 
 
 def _load(args) -> Landscape:
@@ -108,12 +148,16 @@ def cmd_analyze(args) -> int:
     tree = build_tree(l, f, decomps, table)
     out.mkdir(parents=True, exist_ok=True)
     (out / "tree.dot").write_text(tree_to_dot(tree, labels=lab))
-    with open(out / "saddles.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["a", "b", "saddle", "energy"])
-        w.writerows([lab[a], lab[b], lab[z], f"{e:.12g}"] for a in range(l.n)
-                    for b, z, e in zip(range(a + 1, l.n), table.state[a, a + 1:].tolist(),
-                                       table.energy[a, a + 1:].tolist()))
+    # z*(a, b) fixes a row's last two cells: format them once per state
+    head = [f"{x}," for x in lab]
+    cell = [f"{x},{e:.12g}\r\n" for x, e in zip(lab, l.energy.tolist())]
+
+    def rows():
+        for a in range(l.n - 1):
+            tail = map(add, head[a + 1:], map(cell.__getitem__, table.state[a, a + 1:].tolist()))
+            yield head[a] + head[a].join(tail)
+
+    _write_csv(out / "saddles.csv", "a,b,saddle,energy", rows())
     return 0
 
 
@@ -124,11 +168,12 @@ def cmd_simulate(args) -> int:
     traj = simulate.run_metropolis(model, start, args.steps, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "trajectory.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "state"])
-        for n, s in enumerate(traj.states):
-            w.writerow([n, l.labels[s]])
+    cell = [f",{x}\r\n" for x in l.labels]
+    block = 1 << 12     # rows per join: memory stays bounded however long the run
+    _write_csv(out / "trajectory.csv", "n,state", (
+        "".join(map(add, map(str, range(i, i + block)),
+                    map(cell.__getitem__, traj.states[i:i + block].tolist())))
+        for i in range(0, len(traj.states), block)))
     counts = np.bincount(traj.states, minlength=l.n)
     _write_json(out / "stats.json", {
         "beta": args.beta, "seed": args.seed, "steps": args.steps,
@@ -157,11 +202,9 @@ def cmd_aggregate(args) -> int:
                  for m, row in zip(jc.metastates, jc.phat.tolist())},
     })
     model = build_metropolis(l, args.beta)
-    with open(Path(args.out) / "transition_matrix.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["from", "to", "p"])
-        for a, (to, p) in enumerate(model.rows):
-            w.writerows([lab[a], lab[b], f"{q:.12g}"] for b, q in zip(to, p) if q > 0)
+    _write_csv(Path(args.out) / "transition_matrix.csv", "from,to,p", (
+        f"{lab[a]},{lab[b]},{q:.12g}\r\n"
+        for a, (to, p) in enumerate(model.rows) for b, q in zip(to, p) if q > 0))
     mlist, D, udh = escape_exponents(l, ms, table)
     _, limits = valley_transition_limits(ms, jc)
     pairs = [(a, b, f"{lab[m]}->{lab[mp]}") for a, m in enumerate(mlist)
@@ -215,11 +258,8 @@ def cmd_verify(args) -> int:
             for name, (xs, ys) in val.items():
                 safe = "".join(c if c.isalnum() else "_" for c in f"{crit['name']}_{name}")
                 curves_dir.mkdir(parents=True, exist_ok=True)
-                with open(curves_dir / f"{safe}.csv", "w", newline="") as fh:
-                    w = csv.writer(fh)
-                    w.writerow(["x", "y"])
-                    for x, y in zip(xs, ys):
-                        w.writerow([f"{x:.12g}", f"{y:.12g}"])
+                _write_csv(curves_dir / f"{safe}.csv", "x,y",
+                           (f"{x:.12g},{y:.12g}\r\n" for x, y in zip(xs, ys)))
     return 0 if report["all_passed"] else 1
 
 
@@ -262,33 +302,33 @@ _FLAGS = {
 _SOURCE = ("--landscape", "--canonical", "--out")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="metabasins",
                                 description="Energy landscape valley analysis")
     sub = p.add_subparsers(dest="command", required=True)
-    # built per call, so that a rebinding of cli.cmd_* (a tracer) is honoured
     commands = (
-        ("analyze", cmd_analyze, "filtration, valleys, tree, saddle table", _SOURCE),
-        ("simulate", cmd_simulate, "sample a trajectory",
-         _SOURCE + ("--beta", "--seed", "--steps", "--start")),
-        ("aggregate", cmd_aggregate, "jump-chain limit and exponents at a level",
+        ("analyze", "filtration, valleys, tree, saddle table", _SOURCE),
+        ("simulate", "sample a trajectory", _SOURCE + ("--beta", "--seed", "--steps", "--start")),
+        ("aggregate", "jump-chain limit and exponents at a level",
          _SOURCE + ("--beta", "--level")),
-        ("mb", cmd_mb, "search for the metabasin level", _SOURCE + ("--eps",)),
-        ("verify", cmd_verify, "run the acceptance suite", ("--out", "--only", "--beta-grid")),
-        ("report", cmd_report, "render verify curves as SVG plots", ("--out",)),
+        ("mb", "search for the metabasin level", _SOURCE + ("--eps",)),
+        ("verify", "run the acceptance suite", ("--out", "--only", "--beta-grid")),
+        ("report", "render verify curves as SVG plots", ("--out",)),
     )
-    for name, fn, help_text, flags in commands:
+    for name, help_text, flags in commands:
         sp = sub.add_parser(name, help=help_text)
         for flag in flags:
             sp.add_argument(flag, **_FLAGS[flag])
-        sp.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, so that a rebinding of cli.cmd_* (a tracer) is honoured
+    fn = globals()["cmd_" + args.command]
     try:
-        return args.fn(args)
+        return fn(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,8 @@ oracles enumerate self-avoiding paths and are exponential, and the
 path-dependent blocks come from the literal, quadratic cut recursion, so both
 are only for small instances. ``minimax_path`` finds one pair's saddle by a
 minimax Dijkstra. ``decompose`` returns one level of ``decompose_all``, which
-it builds whole.
+it builds whole. ``_plain`` with ``json.dumps(..., indent=1, sort_keys=True)``
+is the CLI's former JSON writer, the oracle of its one-pass emitter.
 """
 
 from __future__ import annotations
@@ -250,3 +251,25 @@ def decompose(l: Landscape, f: Filtration, i: int,
     if not 1 <= i <= f.levels:
         raise ValueError(f"level {i} out of range 1..{f.levels}")
     return decompose_all(l, f, table)[i - 1]
+
+
+def _plain(obj):
+    """JSON-ready copy of ``obj``: builtin scalars, string keys, sorted frozensets.
+
+    Floats keep 12 significant digits so that reruns are byte-identical; a
+    non-finite float is written as the string "inf", "-inf" or "nan".
+    """
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, frozenset):
+        obj = sorted(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        return float(f"{v:.12g}") if math.isfinite(v) else repr(v)
+    return obj

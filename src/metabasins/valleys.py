@@ -228,17 +228,17 @@ def build_tree(l: Landscape, f: Filtration, decomps: list[ValleyDecomposition],
 
 
 def tree_to_dot(tree: ValleyTree, labels=None) -> str:
-    def name(gen, node):
-        return f"g{gen}_{labels[node] if labels else node}"
-
     lines = ["digraph valleytree {", '  root [label="*", shape=point];']
+    above: dict[int, str] = {}      # node -> name in the generation above
     for gi, (level, nodes) in enumerate(tree.generations):
-        for s in nodes:
-            lab = labels[s] if labels else s
-            lines.append(f'  {name(gi, s)} [label="{lab}"];')
-            p = tree.parent[gi][s]
-            target = "root" if p is None else name(gi - 1, p)
-            lines.append(f"  {name(gi, s)} -> {target};")
+        labs = [labels[s] if labels else s for s in nodes]
+        names = [f"g{gi}_{x}" for x in labs]
+        parent = tree.parent[gi]
+        for s, x, name in zip(nodes, labs, names):
+            p = parent[s]
+            lines.append(f'  {name} [label="{x}"];\n'
+                         f'  {name} -> {"root" if p is None else above[p]};')
+        above = dict(zip(nodes, names))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib
 import importlib.util
@@ -7,9 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from metabasins import verify
-from metabasins.cli import _plain, build_parser, main
+from metabasins import simulate, verify
+from metabasins.chain import build_metropolis
+from metabasins.cli import _json, _write_json, build_parser, main
+from metabasins.landscape import gen_random_landscape, load_landscape, save_landscape
+from metabasins.reference import _plain
+from metabasins.saddles import saddle_table
 
 
 def run(args):
@@ -233,12 +240,79 @@ def test_commands_dispatch_through_module_names(tmp_path, monkeypatch):
 
 
 def test_plain_json_values():
-    got = _plain({1: np.float64(math.inf), "f": frozenset({3, 1}), "i": np.int64(4),
-                  "b": np.bool_(True), "x": (1 / 3, -math.inf, math.nan)})
+    got = json.loads(_json({1: np.float64(math.inf), "f": frozenset({3, 1}), "i": np.int64(4),
+                            "b": np.bool_(True), "x": (1 / 3, -math.inf, math.nan)}))
     assert got == {"1": "inf", "f": [1, 3], "i": 4, "b": True,
                    "x": [0.333333333333, "-inf", "nan"]}
     assert type(got["i"]) is int and type(got["b"]) is bool
     json.dumps(got)
+
+
+_TEXT = st.one_of(st.text(), st.sampled_from(["", "caf\u00e9 \u00b5", "\u2028\U0001f600",
+                                             "\x00\x01\x1f\x7f", "tab\t\"q\"\\\n"]))
+_INT64 = st.integers(-2**63, 2**63 - 1).map(np.int64)
+_FLOAT = st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e-300]))
+# small ints and their strings make keys that collide once converted by str
+_KEYS = st.one_of(st.integers(-2, 2), st.integers(-2, 2).map(str), st.integers(), _INT64, _TEXT)
+_LEAVES = st.one_of(st.none(), st.booleans(), st.booleans().map(np.bool_), st.integers(), _INT64,
+                    _FLOAT, _FLOAT.map(np.float64), _TEXT, st.lists(st.integers()),
+                    st.frozensets(st.integers()), st.frozensets(_INT64), st.frozensets(_TEXT))
+_VALUES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.lists(kids), st.lists(kids).map(tuple), st.dictionaries(_KEYS, kids)), max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=_VALUES)
+@example(obj={1: "a", "1": [2, 1], np.int64(2): {}, "2": frozenset({3, 1})})
+def test_json_emitter_matches_plain_and_json_dumps(obj):
+    assert _json(obj) == json.dumps(_plain(obj), indent=1, sort_keys=True)
+
+
+@settings(max_examples=50, deadline=None)
+@given(obj=st.dictionaries(_KEYS, _VALUES, max_size=4))
+def test_write_json_matches_json_dump(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "write_json.json"
+    _write_json(path, obj)
+    assert path.read_text() == json.dumps(_plain(obj), indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, np.arange(3), {"a": [set()]}, {"k": (1, object())}])
+def test_json_emitter_rejects_what_json_rejects(bad):
+    with pytest.raises(TypeError):
+        json.dumps(_plain(bad), indent=1, sort_keys=True)
+    with pytest.raises(TypeError):
+        _json(bad)
+
+
+def test_csv_outputs_round_trip_with_scattered_labels(tmp_path):
+    # ids neither 0..n-1 nor in file order: every preformatted label cell must
+    # sit on the row of its own state
+    g = gen_random_landscape(12, 4, 0.05, 3)
+    ids = [10, 3, 7, 42, 0, 19, 5, 88, 1, 64, 23, 12]
+    doc = {"states": [{"id": ids[s], "energy": float(g.energy[s])} for s in range(g.n)],
+           "edges": [[ids[a], ids[b]] for a, b in g.edges()]}
+    path = tmp_path / "scattered.json"
+    path.write_text(json.dumps(doc))
+    l = load_landscape(path)
+    assert l.labels == tuple(sorted(ids))
+    out = tmp_path / "out"
+    assert run(["analyze", "--landscape", str(path), "--out", str(out)]) == 0
+    table = saddle_table(l)
+    lab = l.labels
+    with open(out / "saddles.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["a", "b", "saddle", "energy"]
+    assert rows[1:] == [[str(lab[a]), str(lab[b]), str(lab[table.state[a, b]]),
+                         f"{table.energy[a, b]:.12g}"]
+                        for a in range(l.n) for b in range(a + 1, l.n)]
+    assert run(["simulate", "--landscape", str(path), "--beta", "0.5", "--steps", "300",
+                "--out", str(out)]) == 0
+    with open(out / "trajectory.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["n", "state"] and len(rows) == 302
+    traj = simulate.run_metropolis(build_metropolis(l, 0.5), int(np.argmin(l.energy)), 300, 0)
+    assert rows[1:] == [[str(n), str(lab[s])] for n, s in enumerate(traj.states)]
+    assert len(set(traj.states.tolist())) > 3
 
 
 def test_benchmark_entry_points_resolve():
@@ -302,3 +376,52 @@ def test_simulate_and_aggregate_outputs_pinned(tmp_path, name):
     for f in ("phat.json", "transition_matrix.csv", "exponents.json"):
         digests[f] = hashlib.sha256((out / f).read_bytes()).hexdigest()
     assert digests == PINNED_OUTPUTS[name]
+
+
+# sha256 of analyze's and mb's outputs, recorded before the writers were rewritten
+PINNED_ANALYZE_MB = {
+    "L6": {
+        "filtration.json": "121cc2c5d6fbe6589ba1c2bff5631debe1938735d64b9117108f0f1ac2554226",
+        "valleys.json": "74c0097a6e13b2da6bee8c061163b584fcea50b0771108e4ee8d60b2327b6674",
+        "tree.dot": "85ad9cac1856812fd1f7791dc30df7989a86fc0a2f8ee5e05df319a2542f7cd8",
+        "saddles.csv": "832892a3fe66bc95e8cc5f1ff2fcb49d54ce70d570d6e095487ee3f1da411285",
+        "mb.json": "af810ab255d59b379ea7403d53ff820f8b56836c2e5311aa570fd674a5611594",
+    },
+    "L14": {
+        "filtration.json": "3f7cfe6c78e4d57adb1b056a11ddc68edcb91e20790e83380f3f84dcd931f329",
+        "valleys.json": "2b7b06cb5e67354ade9244e4ae33099cc33e1fa18a271112f98d8f8311ef6086",
+        "tree.dot": "320d7935807c7a905b6fc3f8f76312b4114ed0bc05926bdd5bcc4d28e4c0be64",
+        "saddles.csv": "5e80998c735c309b511ca0e659057d36755de0f60b01136188c4e4772235d6e3",
+        "mb.json": "fd8b1eac143b663eb57acbe25789ed3f2b7ba2e055c71475017e0cef053840aa",
+    },
+    "L14X": {
+        "filtration.json": "b3b892a384bb9a3b64ed08c3f577257d134808539a93229766346d2ebb8fd294",
+        "valleys.json": "4497371cb47cdb1e55630ef19cdece34d87bc2c88b3f82a26db1e2f80e6c6e60",
+        "tree.dot": "73118a9cc79e93c9cf80c687069c6e6a26c6073d9b56a773ebb6e619747365ed",
+        "saddles.csv": "6e1dbbf230c568400e725154ea6f60d137b22113a28f019657411e2b078d53c9",
+        "mb.json": "d7fda07cf66ad5e219d6f9a887ffa019b43ac35b5f630c40ea0864025af93d65",
+    },
+    "rand60": {
+        "filtration.json": "943669ee3d7810c378e5b9a877c3e05075ecfeb16888b840606d1a71dd66943e",
+        "valleys.json": "48447c9f4d5bb145bca3487d9a9a9f25435d60255147712ccc3b4befd24d8f5b",
+        "tree.dot": "81d7089d5e18bf0eab19d84ea6fb0bf896d09b645fa844a4257fdcafb807bc30",
+        "saddles.csv": "0a859df1c7da0e4919d397591d1c18caaa1979a3f763f70e5dc404aa37291c99",
+        "mb.json": "307a5c383a51163e454b7bf8ead4cba57ffb29733074c0aec96c364267c77dad",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ANALYZE_MB))
+def test_analyze_and_mb_outputs_pinned(tmp_path, name, capsys):
+    if name == "rand60":
+        path = tmp_path / "rand60.json"
+        save_landscape(gen_random_landscape(60, 4, 0.05, 1), path)
+        source = ["--landscape", str(path)]
+    else:
+        source = ["--canonical", name]
+    out = tmp_path / "out"
+    assert run(["analyze", *source, "--out", str(out)]) == 0
+    assert run(["mb", *source, "--eps", "0.5", "--out", str(out)]) == 0
+    digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+               for f in PINNED_ANALYZE_MB[name]}
+    assert digests == PINNED_ANALYZE_MB[name]

@@ -58,22 +58,39 @@ def test_one_absorbing_chain_solve():
                                "chain.py:_absorbing_solve"]
 
 
+def scopes(tree):
+    """(name, function) for every module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"{node.name}.{fn.name}", fn
+
+
+def callers(*names):
+    """module.scope of every call of a function or method in ``names``, one per call."""
+    return [f"{name[:-3]}.{scope}" for name, tree in TREES.items()
+            for scope, fn in scopes(tree) for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in names]
+
+
 def test_merge_forest_built_only_for_saddles_and_ties():
     # the one union-find is built for the saddle table, one pair's saddle and
     # a level's tie test; the valley layer builds it once per level at most
-    def scopes(tree):
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                yield node.name, node
-            elif isinstance(node, ast.ClassDef):
-                for fn in node.body:
-                    if isinstance(fn, ast.FunctionDef):
-                        yield f"{node.name}.{fn.name}", fn
-
-    builders = [f"{name[:-3]}.{scope}" for name, tree in TREES.items()
-                for scope, fn in scopes(tree) for node in ast.walk(fn)
-                if isinstance(node, ast.Call)
-                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "Sweep"]
+    builders = callers("Sweep")
     assert len(calls("Sweep")) == len(builders)
     assert sorted(builders) == ["saddles.essential_saddle", "saddles.saddle_table",
                                 "valleys._Level.__init__"]
+
+
+def test_one_json_serialiser_and_one_csv_path():
+    # the CLI's outputs go through its one-pass emitter and its line writer;
+    # json.dump is left only for writing a landscape file
+    dumps = callers("dump", "dumps")
+    assert len(calls("dump")) + len(calls("dumps")) == len(dumps)
+    assert dumps == ["landscape.save_landscape"]
+    assert [where for where, _ in calls("writer") if where.startswith("cli.py:")] == []
+    assert [where for where, _ in calls("_write_csv")]
