@@ -7,10 +7,9 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def line_chart(series: dict[str, tuple[list[float], list[float]]],
-               title: str = "", width: int = 640, height: int = 420) -> str:
-    """Render named (xs, ys) series as a simple SVG polyline chart."""
-    pad = 50
+def line_chart(series: dict[str, tuple[list[float], list[float]]], title: str) -> str:
+    """Render named (xs, ys) series as a 640 x 420 SVG polyline chart."""
+    width, height, pad = 640, 420, 50
     xs_all = [x for xs, _ in series.values() for x in xs]
     ys_all = [y for _, ys in series.values() for y in ys]
     if not xs_all:

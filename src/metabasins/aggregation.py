@@ -20,14 +20,10 @@ from typing import Callable
 import numpy as np
 
 from .chain import TransitionModel, _absorbing_solve, off_diagonal_row_sums
-from .filtration import Filtration, scoppola_filtration
+from .filtration import Filtration
 from .landscape import Landscape, reachable
-from .saddles import SaddleTable, rising_reach, saddle_table
-from .valleys import (
-    ValleyDecomposition,
-    decompose_all,
-    outer_boundary,
-)
+from .saddles import SaddleTable, rising_reach
+from .valleys import ValleyDecomposition, outer_boundary
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +42,11 @@ class MetastateSpace:
 
 
 def metastate_space(d: ValleyDecomposition, f: Filtration) -> MetastateSpace:
-    """Metastates at the decomposition's level, with resolved valleys and gates."""
+    """Metastates at the decomposition's level, with resolved valleys and gates.
+
+    ``f`` is unread; it stays because ``perfbench/workloads.py`` calls
+    ``metastate_space(d, f)``.
+    """
     i = d.level
     valley_of: dict[int, frozenset[int]] = {}
     gate_of: dict[int, int] = {}
@@ -234,7 +234,7 @@ class ExponentMatrix:
     reachable: np.ndarray
 
 
-def escape_exponents(l: Landscape, ms: MetastateSpace, table: SaddleTable | None = None):
+def escape_exponents(l: Landscape, ms: MetastateSpace, table: SaddleTable):
     """The valley metastates and k x k arrays D and udh: all a metabasin scan reads.
 
     D(m, m') = E(z*(m, m')) - E(g) for the gate g of m (-inf on the diagonal);
@@ -264,8 +264,6 @@ def escape_exponents(l: Landscape, ms: MetastateSpace, table: SaddleTable | None
     # non-assigned (checked below), so on a valley decomposition its search
     # refuses nothing; a refusal means ``ms`` is not one, and the rule above
     # would not hold.
-    if table is None:
-        table = saddle_table(l)
     mlist = ms.valley_metastates
     gates = [ms.gate_of.get(m) for m in mlist]
     energy = l.energy.tolist()
@@ -302,8 +300,7 @@ def boundary_exponents(l: Landscape, ms: MetastateSpace) -> dict[tuple[int, int]
             for m in ms.valley_metastates for s in outer_boundary(l, ms.valley_of[m])}
 
 
-def transition_exponents(l: Landscape, ms: MetastateSpace,
-                         table: SaddleTable | None = None) -> ExponentMatrix:
+def transition_exponents(l: Landscape, ms: MetastateSpace, table: SaddleTable) -> ExponentMatrix:
     """Decay exponents of inter-valley transitions and boundary exits.
 
     D and udh are ``escape_exponents``': D is the exact rate where udh holds
@@ -391,10 +388,8 @@ class MBReport:
     scan: tuple[tuple[int, bool, bool], ...]   # (level, mb1 ok, mb2 ok)
 
 
-def find_metabasins(l: Landscape, eps: float,
-                    f: Filtration | None = None,
-                    decomps: list[ValleyDecomposition] | None = None,
-                    table: SaddleTable | None = None) -> MBReport:
+def find_metabasins(l: Landscape, eps: float, f: Filtration,
+                    decomps: list[ValleyDecomposition], table: SaddleTable) -> MBReport:
     """Smallest aggregation level whose valleys are metabasins of order eps.
 
     A level qualifies when every valley metastate m has all its saddles to
@@ -405,12 +400,6 @@ def find_metabasins(l: Landscape, eps: float,
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if table is None:
-        table = saddle_table(l)
-    if f is None:
-        f = scoppola_filtration(l)
-    if decomps is None:
-        decomps = decompose_all(l, f, table)
     scan = []
     for i in range(1, f.levels - 1):
         ms = metastate_space(decomps[i - 1], f)

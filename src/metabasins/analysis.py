@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .aggregation import MetastateSpace, exact_jump_distribution
 from .chain import TransitionModel, gamma_beta
 from .landscape import Landscape, min_energy_gap, reachable
-from .saddles import SaddleTable, saddle_table
+from .saddles import SaddleTable
 from .valleys import ValleyDecomposition, connectivity_params, outer_boundary
 
 
@@ -58,16 +57,13 @@ def log_epsilon(l: Landscape, table: SaddleTable, x: int, y: int, z: int, beta: 
     return log_k_beta(l, beta) + beta * (7.0 * gamma_beta(l, beta) - gap)
 
 
-def epsilon_bound(l: Landscape, x: int, y: int, z: int, beta: float,
-                  table: SaddleTable | None = None,
+def epsilon_bound(l: Landscape, x: int, y: int, z: int, beta: float, table: SaddleTable,
                   model: TransitionModel | None = None) -> float:
     """Upper bound on P_x(tau_z < tau_y) when z's saddle is the higher one.
 
     Passing the matching transition model additionally checks that the exact
     race probability is dominated by the bound, raising ValueError if not.
     """
-    if table is None:
-        table = saddle_table(l)
     if len({x, y, z}) != 3:
         raise ValueError("x, y, z must be pairwise distinct")
     if not table.energy[x, z] > table.energy[x, y]:
@@ -118,18 +114,14 @@ def _log_epsilon_tilde_link(l, table, decomps, x, m, y, beta, level) -> float:
 
 
 def log_epsilon_tilde(l: Landscape, decomps: list[ValleyDecomposition],
-                      x: int, m: int, y: int, beta: float, level: int | None = None,
-                      table: SaddleTable | None = None) -> float:
+                      x: int, m: int, y: int, beta: float, level: int,
+                      table: SaddleTable) -> float:
     """Chained drift bound on P_x(tau_y < tau_m) for x inside the valley of m.
 
     Sums one link per attraction step of the construction that pulled x into
     the valley; for x = m a single self link with the E(z*(m,m)) = E(m)
     convention is used.
     """
-    if table is None:
-        table = saddle_table(l)
-    if level is None:
-        level = len(decomps)
     d = decomps[level - 1]
     members = d.valley.get(m)
     if members is None or x not in members:
@@ -145,16 +137,14 @@ def log_epsilon_tilde(l: Landscape, decomps: list[ValleyDecomposition],
     )
 
 
-def epsilon_tilde(l, decomps, x, m, y, beta, level=None, table=None) -> float:
+def epsilon_tilde(l, decomps, x, m, y, beta, level, table) -> float:
     lv = log_epsilon_tilde(l, decomps, x, m, y, beta, level, table)
     return math.exp(lv) if lv <= 700.0 else math.inf
 
 
 def log_delta_m(l: Landscape, decomps: list[ValleyDecomposition], ms: MetastateSpace,
-                m: int, beta: float, table: SaddleTable | None = None) -> float:
+                m: int, beta: float, table: SaddleTable) -> float:
     """log of max_{x in V(m)} sum_{z in boundary} of the chained drift bound."""
-    if table is None:
-        table = saddle_table(l)
     level = ms.valley_level[m]
     members = ms.valley_of[m]
     boundary = outer_boundary(l, members)
@@ -168,7 +158,7 @@ def log_delta_m(l: Landscape, decomps: list[ValleyDecomposition], ms: MetastateS
     return best
 
 
-def delta_m(l, decomps, ms, m, beta, table=None) -> float:
+def delta_m(l, decomps, ms, m, beta, table) -> float:
     lv = log_delta_m(l, decomps, ms, m, beta, table)
     return math.exp(lv) if lv <= 700.0 else math.inf
 
@@ -198,14 +188,14 @@ class QuasiStationary:
     nu: np.ndarray
 
 
-def quasi_stationary(model: TransitionModel, V, tol: float = 1e-14,
-                     max_iter: int = 1_000_000) -> QuasiStationary:
+def quasi_stationary(model: TransitionModel, V) -> QuasiStationary:
     """Left Perron pair of the V-restricted (substochastic) kernel, by power iteration.
 
     Requires the induced subgraph on V to be connected; laziness makes the
     restriction aperiodic, so the iteration converges to the unique
     quasi-stationary distribution. V equal to the whole space gives the
-    stationary distribution with eigenvalue 1.
+    stationary distribution with eigenvalue 1. The iteration stops once no
+    entry moves by 1e-14, or after a million steps.
     """
     V = sorted(V)
     l = model.landscape
@@ -220,11 +210,11 @@ def quasi_stationary(model: TransitionModel, V, tol: float = 1e-14,
     Q = model.P[np.ix_(V, V)]
     nu = np.full(len(V), 1.0 / len(V))
     lam = 1.0
-    for _ in range(max_iter):
+    for _ in range(1_000_000):
         w = nu @ Q
         lam = w.sum()
         w /= lam
-        if np.max(np.abs(w - nu)) < tol:
+        if np.max(np.abs(w - nu)) < 1e-14:
             nu = w
             break
         nu = w
@@ -315,8 +305,7 @@ def falling_factorial(n: float, k: int) -> float:
 
 
 def pdmb_bounds(l: Landscape, decomps: list[ValleyDecomposition], ms: MetastateSpace,
-                eps: float, K: int, delta: float, beta: float,
-                table: SaddleTable | None = None) -> PdmbBounds:
+                eps: float, K: int, delta: float, beta: float, table: SaddleTable) -> PdmbBounds:
     """The three lower bounds for path-dependent vs path-independent agreement.
 
     (a) bounds the chance that the strict basin of the k-th aggregated state
@@ -326,8 +315,6 @@ def pdmb_bounds(l: Landscape, decomps: list[ValleyDecomposition], ms: MetastateS
     the degenerate delta = 0 is admissible and (b) is vacuous. Raw values are
     kept; clipping to [0, 1] is for reporting.
     """
-    if table is None:
-        table = saddle_table(l)
     eta1, eta2, eta3 = connectivity_params(l, ms, eps)
     cap = (max(min(eta1, eta2 - 1) - 1, 0.0) * math.exp(-2.0 * beta * eps)) ** K
     if not 0 <= delta <= cap + 1e-15:
@@ -350,29 +337,3 @@ def pdmb_bounds(l: Landscape, decomps: list[ValleyDecomposition], ms: MetastateS
            c <= 0 or dmax >= 1.0 or min(eta2, eta3) <= K - 1)
     return PdmbBounds((eta1, eta2, eta3), cap, dmax, (a, b, c),
                       (clip(a), clip(b), clip(c) if not vac[2] else 0.0), vac)
-
-
-@dataclass(frozen=True, eq=False)
-class BoundSet:
-    """The constants and bound evaluators, bundled for one landscape."""
-
-    k_beta: Callable[[float], float]
-    eps_xyz: Callable[[int, int, int, float], float]
-    eps_tilde: Callable[[int, int, int, float], float]
-    delta_m: Callable[[MetastateSpace, int, float], float]
-    T_m: Callable[[TransitionModel, MetastateSpace, int, float, dict], float]
-    delta_min_gap: float
-
-
-def bound_set(l: Landscape, decomps: list[ValleyDecomposition],
-              table: SaddleTable | None = None) -> BoundSet:
-    if table is None:
-        table = saddle_table(l)
-    return BoundSet(
-        k_beta=lambda beta: k_beta(l, beta),
-        eps_xyz=lambda x, y, z, beta: epsilon_bound(l, x, y, z, beta, table),
-        eps_tilde=lambda x, m, y, beta: epsilon_tilde(l, decomps, x, m, y, beta, None, table),
-        delta_m=lambda ms, m, beta: delta_m(l, decomps, ms, m, beta, table),
-        T_m=horizon_T,
-        delta_min_gap=min_energy_gap(l),
-    )

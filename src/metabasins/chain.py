@@ -109,7 +109,7 @@ def _absorbing_solve(P: np.ndarray, transient, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, rhs)
 
 
-def absorption_probabilities(P: np.ndarray, targets, others=frozenset()) -> np.ndarray:
+def absorption_probabilities(P: np.ndarray, targets, others) -> np.ndarray:
     """P(hit ``targets`` before ``others``) from every state, both sets absorbing.
 
     Entries for states inside the sets are their indicator values.

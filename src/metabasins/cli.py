@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _svg, analysis, simulate, verify
+from . import _svg, simulate, verify
 from .aggregation import (
     asymptotic_jump_chain,
     boundary_exponents,
@@ -32,14 +32,14 @@ from .valleys import decompose_all, tree_to_dot, build_tree
 _ESC = json.encoder.encode_basestring_ascii
 
 
-def _json(obj, pad: str = "\n") -> str:
+def _json(obj, pad: str) -> str:
     """``obj`` as JSON with one-space indent and sorted keys, in one pass.
 
     Keys are ``str(k)``, frozensets are sorted, numpy scalars become builtin
     ones and floats keep 12 significant digits, so that reruns are
     byte-identical; a non-finite float is written as the string "inf", "-inf"
-    or "nan". ``pad`` is the newline and indent that close ``obj``. Any other
-    type raises ``TypeError``, as ``json.dumps`` does.
+    or "nan". ``pad`` is the newline and indent that close ``obj``, "\\n" at the
+    top level. Any other type raises ``TypeError``, as ``json.dumps`` does.
     """
     if isinstance(obj, frozenset):
         obj = sorted(obj)
@@ -78,7 +78,7 @@ def _entries(obj: dict, pad: str):
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    """``_json(obj)`` and a newline, written one top-level entry at a time."""
+    """``_json(obj, "\\n")`` and a newline, written one top-level entry at a time."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         sep = "{\n "
@@ -221,7 +221,12 @@ def cmd_aggregate(args) -> int:
 
 def cmd_mb(args) -> int:
     l = _load(args)
-    report = find_metabasins(l, args.eps)
+    if not args.eps > 0:    # before the builds, which take seconds at a few thousand states
+        raise ValueError("eps must be positive")
+    f = scoppola_filtration(l)
+    table = saddle_table(l)
+    decomps = decompose_all(l, f, table)
+    report = find_metabasins(l, args.eps, f, decomps, table)
     lab = l.labels
     if report.level is None:
         print(f"no metabasin level of order {args.eps}")

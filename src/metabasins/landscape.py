@@ -43,19 +43,11 @@ class Landscape:
                 if a < b:
                     yield a, b
 
-    def degree(self, s: int) -> int:
-        return len(self.neighbors[s])
-
     def index_of_label(self, label: int) -> int:
         try:
             return self.labels.index(label)
         except ValueError:
             raise LandscapeError(f"no state with label {label}") from None
-
-    def distance(self, a: int, b: int) -> float:
-        if self.coords is None:
-            raise LandscapeError("landscape has no coordinates")
-        return float(np.linalg.norm(self.coords[a] - self.coords[b]))
 
 
 @dataclass(frozen=True)
@@ -136,7 +128,7 @@ def load_landscape(path) -> Landscape:
     Schema: ``{"states": [{"id": int, "energy": float, "coord": [...]?,
     "neighbors": [...]?}], "edges": [[a, b], ...]}``. Either every state
     carries a symmetric "neighbors" list, or "edges" lists each undirected
-    edge exactly once. Every malformed file raises ``LandscapeError``.
+    edge exactly once, not both. Every malformed file raises ``LandscapeError``.
     """
     with open(path) as fh:
         try:
@@ -170,6 +162,8 @@ def load_landscape(path) -> Landscape:
 
     adjacency = [set() for _ in ids]
     if any("neighbors" in s for s in states):
+        if "edges" in data:
+            raise LandscapeError('give per-state "neighbors" or top-level "edges", not both')
         for s, lab_s in zip(states, ids):
             nbrs = s.get("neighbors", [])
             if not isinstance(nbrs, list):

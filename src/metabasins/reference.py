@@ -246,8 +246,7 @@ def minimax_path(l: Landscape, r: int, s: int) -> PathRecord:
     return PathRecord(tuple(path), float(best[s]), float(act))
 
 
-def decompose(l: Landscape, f: Filtration, i: int,
-              table: SaddleTable | None = None) -> ValleyDecomposition:
+def decompose(l: Landscape, f: Filtration, i: int, table: SaddleTable) -> ValleyDecomposition:
     if not 1 <= i <= f.levels:
         raise ValueError(f"level {i} out of range 1..{f.levels}")
     return decompose_all(l, f, table)[i - 1]

@@ -292,10 +292,9 @@ def estimate_exit_time(model: TransitionModel, d, m: int,
     return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(reps))
 
 
-def run_until_sigma(walker: JumpWalker, ms: MetastateSpace, start: int,
-                    K: int, max_steps: int = 50_000_000) -> np.ndarray:
+def run_until_sigma(walker: JumpWalker, ms: MetastateSpace, start: int, K: int) -> np.ndarray:
     """Jump-chain trajectory from ``start`` up to and including its K-th AC change."""
-    return np.asarray(walker.walk(start, ms.rep_of.tolist(), K, max_steps), dtype=int)
+    return np.asarray(walker.walk(start, ms.rep_of.tolist(), K), dtype=int)
 
 
 def strict_basins_for(ms: MetastateSpace, decomps: list[ValleyDecomposition]) -> dict[int, frozenset[int]]:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .filtration import Filtration
 from .landscape import Landscape
-from .saddles import SaddleTable, Sweep, saddle_table
+from .saddles import SaddleTable, Sweep
 
 
 def strict_basin(l: Landscape, table: SaddleTable, M, m: int) -> frozenset[int]:
@@ -134,11 +134,8 @@ def _gate(l: Landscape, states) -> int | None:
     return min(boundary, key=lambda s: l.energy[s])
 
 
-def decompose_all(l: Landscape, f: Filtration,
-                  table: SaddleTable | None = None) -> list[ValleyDecomposition]:
+def decompose_all(l: Landscape, f: Filtration, table: SaddleTable) -> list[ValleyDecomposition]:
     """All levels 1..nlevels, in order (each level consumes the previous one)."""
-    if table is None:
-        table = saddle_table(l)
     levels: list[ValleyDecomposition] = []
     order = f.deletion_order
     # level 1 starts with every state non-assigned; each bottom attracts itself
@@ -192,9 +189,7 @@ class ValleyTree:
 
 
 def build_tree(l: Landscape, f: Filtration, decomps: list[ValleyDecomposition],
-               table: SaddleTable | None = None) -> ValleyTree:
-    if table is None:
-        table = saddle_table(l)
+               table: SaddleTable) -> ValleyTree:
     nlv = f.levels
 
     def nodes_at(level: int) -> frozenset[int]:
@@ -227,11 +222,11 @@ def build_tree(l: Landscape, f: Filtration, decomps: list[ValleyDecomposition],
     return ValleyTree(tuple(generations), tuple(parents))
 
 
-def tree_to_dot(tree: ValleyTree, labels=None) -> str:
+def tree_to_dot(tree: ValleyTree, labels) -> str:
     lines = ["digraph valleytree {", '  root [label="*", shape=point];']
     above: dict[int, str] = {}      # node -> name in the generation above
     for gi, (level, nodes) in enumerate(tree.generations):
-        labs = [labels[s] if labels else s for s in nodes]
+        labs = [labels[s] for s in nodes]
         names = [f"g{gi}_{x}" for x in labs]
         parent = tree.parent[gi]
         for s, x, name in zip(nodes, labs, names):

@@ -37,10 +37,10 @@ class CriterionResult:
     details: dict = field(default_factory=dict)
 
 
-def _random_instances(count, n_lo, n_hi, seed0=0, max_degree=3, min_gap=0.05):
+def _random_instances(count, n_lo, n_hi, seed0=0):
     for k in range(count):
         n = n_lo + k % (n_hi - n_lo + 1)
-        yield gen_random_landscape(n, max_degree, min_gap, seed=seed0 + k)
+        yield gen_random_landscape(n, 3, 0.05, seed=seed0 + k)
 
 
 def _shortest_path(l: Landscape, a: int, b: int):
@@ -448,9 +448,9 @@ def c10_scattering(fx: FixtureSet) -> CriterionResult:
 
 # --- criterion 11: pd vs pid comparison -------------------------------------
 
-def c11_pd_vs_pid(fx: FixtureSet, reps=1000) -> CriterionResult:
+def c11_pd_vs_pid(fx: FixtureSet) -> CriterionResult:
     x = fx.l14x
-    beta, K, eps = 10.0, 3, 2.5
+    beta, K, eps, reps = 10.0, 3, 2.5, 1000
     report = find_metabasins(x.l, eps, x.f, x.decomps, x.table)
     if report.level is None:
         return CriterionResult("pd-vs-pid", False, {"error": "no MB level found"})
@@ -537,8 +537,9 @@ CRITERIA = {
 }
 
 
-def run_acceptance(only=None, beta_grid=None) -> dict:
-    """Run the criteria; ``only`` filters by substring of the criterion name.
+def run_acceptance(only, beta_grid) -> dict:
+    """Run the criteria; ``only`` filters by substring of the criterion name,
+    and ``beta_grid``, unless None, replaces the default grids of c6, c8 and c9.
 
     An empty token of ``only``, or one part of no criterion name, raises ValueError.
     """

@@ -73,7 +73,7 @@ def test_c10_scattering(fx):
 
 
 def test_c11_pd_vs_pid(fx):
-    r = _run(fx, "pd-vs-pid", reps=1000)
+    r = _run(fx, "pd-vs-pid")
     assert r.details["mb_level"] == 5
     assert r.details["mc_agreement"] and r.details["domination"]
 
@@ -90,4 +90,4 @@ def test_run_acceptance_rejects_empty_token(monkeypatch, only):
     # any fixture is built
     monkeypatch.setattr(verify.FixtureSet, "build", lambda: pytest.fail("fixtures built"))
     with pytest.raises(ValueError, match="no criterion matches ''"):
-        verify.run_acceptance(only=only)
+        verify.run_acceptance(only=only, beta_grid=None)

@@ -34,6 +34,13 @@ def ms_at(fx, level):
     return metastate_space(fx.decomps[level - 1], fx.f)
 
 
+def stages(l):
+    """Filtration, saddle table and decompositions of l, as the commands build them."""
+    f = scoppola_filtration(l)
+    table = saddles.saddle_table(l)
+    return f, table, decompose_all(l, f, table)
+
+
 def at(exps, m, mp):
     """Array position of the ordered valley pair (m, mp) in ``exps``."""
     return exps.metastables.index(m), exps.metastables.index(mp)
@@ -204,8 +211,7 @@ def test_valley_transition_monte_carlo_beta10(L6):
 
 def test_first_entry_law_matches_lazy_simulation(triangle6):
     # literal lazy trajectories versus the two-stage absorption solver
-    f = scoppola_filtration(triangle6)
-    decomps = decompose_all(triangle6, f)
+    f, _, decomps = stages(triangle6)
     ms = metastate_space(decomps[0], f)
     model = build_metropolis(triangle6, beta=1.0)
     exact = exact_valley_transition(model, ms, 0)
@@ -258,10 +264,9 @@ def test_reciprocating_single_metastable():
 
 
 def test_reciprocating_large_order_never_witnessed(triangle6):
-    f = scoppola_filtration(triangle6)
-    decomps = decompose_all(triangle6, f)
+    f, table, decomps = stages(triangle6)
     ms1 = metastate_space(decomps[0], f)
-    exps1 = transition_exponents(triangle6, ms1)
+    exps1 = transition_exponents(triangle6, ms1, table)
     assert reciprocating_order_test(exps1, eps=50.0) is None
 
 
@@ -330,7 +335,8 @@ def test_find_metabasins_l14x_matches_literal_definition(L14X):
 
 
 def test_find_metabasins_triangle_unbounded_order(triangle6):
-    report = find_metabasins(triangle6, 1e9)
+    f, table, decomps = stages(triangle6)
+    report = find_metabasins(triangle6, 1e9, f, decomps, table)
     assert report.level == 1
     assert all(len(w) >= 2 for w in report.mb2_witnesses.values())
 
@@ -373,8 +379,7 @@ def test_semi_markov_mixture_with_two_entry_states():
 
     adj = ((1,), (0, 2), (1, 3), (2, 4, 5), (3, 5), (3, 4))
     l = Landscape(np.array([1.0, 5.0, 2.0, 6.0, 0.0, 4.0]), adj)
-    f = scoppola_filtration(l)
-    decomps = decompose_all(l, f)
+    f, _, decomps = stages(l)
     ms = metastate_space(decomps[1], f)
     assert ms.valley_of[4] == {4, 5}
     model = build_metropolis(l, beta=2.0)
@@ -421,8 +426,7 @@ def test_semi_markov_law_invariant_along_run(shallow6):
     # sojourn laws conditioned on the neighbor pair do not drift with time:
     # two-sample KS between early and late windows stays below the 1% critical
     # value
-    f = scoppola_filtration(shallow6)
-    decomps = decompose_all(shallow6, f)
+    f, _, decomps = stages(shallow6)
     ms = metastate_space(decomps[1], f)
     model = build_metropolis(shallow6, beta=8.0)
     walker = simulate.JumpWalker(model).stream(np.random.default_rng(2024))
@@ -631,16 +635,16 @@ def test_tied_energies_scan_without_a_jump_chain_limit():
     # so the jump-chain limit does not exist; the metabasin scan never needs it
     l = gen_random_landscape(60, 4, 0.05, 1)
     tied = Landscape(np.round(l.energy, 0), l.neighbors)
-    f = scoppola_filtration(tied)
-    report = find_metabasins(tied, 0.5, f)
+    f, table, decomps = stages(tied)
+    report = find_metabasins(tied, 0.5, f, decomps, table)
     assert len(report.scan) == f.levels - 2 and report.level is None
-    assert all(mb1 for _, mb1, _ in find_metabasins(tied, 1e9, f).scan)
-    ms = metastate_space(decompose_all(tied, f)[0], f)
+    assert all(mb1 for _, mb1, _ in find_metabasins(tied, 1e9, f, decomps, table).scan)
+    ms = metastate_space(decomps[0], f)
     assert tied.energy[1] == tied.energy[20] and 20 in tied.neighbors[1]
     with pytest.raises(ValueError, match=r"equal energy: \[\(1, 20\), "):
         valley_transition_limits(ms, asymptotic_jump_chain(tied, ms))
     with pytest.raises(ValueError, match="equal energy"):
-        transition_exponents(tied, ms)
+        transition_exponents(tied, ms, table)
 
 
 def test_nonassigned_states_lie_above_their_valley_neighbours(L6, L14, L14X,
@@ -668,10 +672,11 @@ def test_exponents_refuse_a_gate_that_rises_into_a_valley():
                         {m: frozenset(v) for m, v in valleys.items()},
                         {0: 1, 4: 1}, {m: 1 for m in valleys}, np.array([0, 1, 4, 3, 4]))
     assert saddles.uphill_downhill_path(l, 1, 4, frozenset({0})) is not None
+    table = saddles.saddle_table(l)
     with pytest.raises(ValueError, match="not a valley decomposition"):
-        transition_exponents(l, ms)
+        transition_exponents(l, ms, table)
     with pytest.raises(ValueError, match="not a valley decomposition"):
-        escape_exponents(l, ms)
+        escape_exponents(l, ms, table)
 
 
 def test_escape_exponents_need_non_assigned_gates(L6):
@@ -691,7 +696,7 @@ def test_mb_scan_runs_two_monotone_searches_per_valley(monkeypatch):
         searches[0] += 1
         return real_search(*args)
 
-    def counting_exponents(l, ms, table=None):
+    def counting_exponents(l, ms, table):
         before = searches[0]
         mlist, D, udh = real_exponents(l, ms, table)
         levels.append((searches[0] - before, len(mlist)))
@@ -705,7 +710,9 @@ def test_mb_scan_runs_two_monotone_searches_per_valley(monkeypatch):
     monkeypatch.setattr(aggregation, "escape_exponents", counting_exponents)
     seeds = [s for s in range(60) if len(local_minima(gen_random_landscape(48, 4, 0.05, s))) == 16]
     for s in seeds[:4]:
-        find_metabasins(gen_random_landscape(48, 4, 0.05, s), 0.5)
+        l = gen_random_landscape(48, 4, 0.05, s)
+        f, table, decomps = stages(l)
+        find_metabasins(l, 0.5, f, decomps, table)
     assert pair_calls == []
     assert len(levels) > 20
     assert all(calls <= 2 * k for calls, k in levels)

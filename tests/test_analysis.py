@@ -39,15 +39,6 @@ def test_epsilon_bound_l6_dominates(L6):
     assert exact <= bound
 
 
-def test_bound_set_bundle(L6):
-    bs = analysis.bound_set(L6.l, L6.decomps, L6.table)
-    assert bs.delta_min_gap == 1.0
-    assert bs.k_beta(1e6) == pytest.approx(12.0, rel=1e-6)
-    assert bs.eps_xyz(2, 0, 4, 5.0) == analysis.epsilon_bound(L6.l, 2, 0, 4, 5.0, L6.table)
-    ms = ms_at(L6, 2)
-    assert bs.delta_m(ms, 0, 4.0) == analysis.delta_m(L6.l, L6.decomps, ms, 0, 4.0, L6.table)
-
-
 def test_epsilon_bound_vanishes_asymptotically(L6):
     logs = [analysis.log_epsilon(L6.l, L6.table, 2, 0, 4, b)
             for b in (1e4, 1e5, 1e6)]
@@ -114,9 +105,9 @@ def test_epsilon_tilde_chain_vanishes_asymptotically(L14X):
 
 def test_epsilon_tilde_rejects_bad_arguments(L6):
     with pytest.raises(ValueError):
-        analysis.epsilon_tilde(L6.l, L6.decomps, 3, 0, 4, 2.0, level=2)
+        analysis.epsilon_tilde(L6.l, L6.decomps, 3, 0, 4, 2.0, level=2, table=L6.table)
     with pytest.raises(ValueError):
-        analysis.epsilon_tilde(L6.l, L6.decomps, 1, 0, 2, 2.0, level=2)
+        analysis.epsilon_tilde(L6.l, L6.decomps, 1, 0, 2, 2.0, level=2, table=L6.table)
 
 
 def test_attraction_chain_l14x(L14X):
@@ -224,13 +215,14 @@ def test_pdmb_bound_c_positive_when_connected(triangle6):
     from metabasins.valleys import decompose_all
 
     f = scoppola_filtration(triangle6)
-    decomps = decompose_all(triangle6, f)
+    table = saddle_table(triangle6)
+    decomps = decompose_all(triangle6, f, table)
     ms = metastate_space(decomps[0], f)
     from metabasins.valleys import connectivity_params
     eta = connectivity_params(triangle6, ms, 2.0)
     assert min(eta[1], eta[2]) >= 2
     b = analysis.pdmb_bounds(triangle6, decomps, ms, eps=2.0, K=2, delta=0.0,
-                             beta=0.05)
+                             beta=0.05, table=table)
     assert b.raw[2] != 0.0
 
 
@@ -301,4 +293,5 @@ def test_epsilon_bound_rejects_undominated_model():
     l = Landscape(np.array([0.0, 1.0, 0.5, 100.0, -1.0]),
                   ((1,), (0, 2), (1, 3), (2, 4), (3,)))
     with pytest.raises(ValueError, match="exceeds the bound"):
-        analysis.epsilon_bound(l, 2, 0, 4, 1.0, model=build_metropolis(l, 0.001))
+        analysis.epsilon_bound(l, 2, 0, 4, 1.0, saddle_table(l),
+                               model=build_metropolis(l, 0.001))

@@ -241,7 +241,7 @@ def test_commands_dispatch_through_module_names(tmp_path, monkeypatch):
 
 def test_plain_json_values():
     got = json.loads(_json({1: np.float64(math.inf), "f": frozenset({3, 1}), "i": np.int64(4),
-                            "b": np.bool_(True), "x": (1 / 3, -math.inf, math.nan)}))
+                            "b": np.bool_(True), "x": (1 / 3, -math.inf, math.nan)}, "\n"))
     assert got == {"1": "inf", "f": [1, 3], "i": 4, "b": True,
                    "x": [0.333333333333, "-inf", "nan"]}
     assert type(got["i"]) is int and type(got["b"]) is bool
@@ -265,7 +265,7 @@ _VALUES = st.recursive(_LEAVES, lambda kids: st.one_of(
 @given(obj=_VALUES)
 @example(obj={1: "a", "1": [2, 1], np.int64(2): {}, "2": frozenset({3, 1})})
 def test_json_emitter_matches_plain_and_json_dumps(obj):
-    assert _json(obj) == json.dumps(_plain(obj), indent=1, sort_keys=True)
+    assert _json(obj, "\n") == json.dumps(_plain(obj), indent=1, sort_keys=True)
 
 
 @settings(max_examples=50, deadline=None)
@@ -281,7 +281,7 @@ def test_json_emitter_rejects_what_json_rejects(bad):
     with pytest.raises(TypeError):
         json.dumps(_plain(bad), indent=1, sort_keys=True)
     with pytest.raises(TypeError):
-        _json(bad)
+        _json(bad, "\n")
 
 
 def test_csv_outputs_round_trip_with_scattered_labels(tmp_path):

@@ -267,6 +267,23 @@ def test_named_malformed_files(fuzz_dir, edit):
     _assert_rejected(path)
 
 
+def test_neighbors_and_edges_together_rejected(fuzz_dir):
+    # one adjacency format or the other: given both, the loader would read
+    # the neighbours alone and drop the edge (0, 2) unseen
+    doc = {"states": [{"id": 0, "energy": 0.0, "neighbors": [1]},
+                      {"id": 1, "energy": 1.0, "neighbors": [0, 2]},
+                      {"id": 2, "energy": 2.0, "neighbors": [1]}],
+           "edges": [[0, 2]]}
+    path = fuzz_dir / "both.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(LandscapeError, match='per-state "neighbors" or top-level "edges"'):
+        load_landscape(path)
+    _assert_rejected(path)
+    del doc["edges"]
+    path.write_text(json.dumps(doc))
+    assert load_landscape(path).neighbors == ((1,), (0, 2), (1,))
+
+
 @settings(max_examples=15, deadline=None)
 @given(cut=st.integers(0, 60))
 def test_truncated_or_undecodable_file_fails_with_landscape_error(fuzz_dir, cut):

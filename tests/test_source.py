@@ -1,4 +1,5 @@
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -84,6 +85,53 @@ def test_merge_forest_built_only_for_saddles_and_ties():
     assert len(calls("Sweep")) == len(builders)
     assert sorted(builders) == ["saddles.essential_saddle", "saddles.saddle_table",
                                 "valleys._Level.__init__"]
+
+
+def test_defaults_only_where_callers_differ():
+    # a parameter keeps a default only where callers pass different values;
+    # reference.py, the tests' oracles, is not counted
+    def with_default(args):
+        positional = args.posonlyargs + args.args
+        return (positional[len(positional) - len(args.defaults):]
+                + [k for k, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+    defaulted = [f"{name[:-3]}.{scope}({arg.arg})"
+                 for name, tree in TREES.items() if name != "reference.py"
+                 for scope, fn in scopes(tree) for arg in with_default(fn.args)]
+    assert sorted(defaulted) == [
+        "analysis.epsilon_bound(model)", "cli.main(argv)", "saddles.Sweep.__init__(wall)",
+        "saddles.sublevel_connected(avoid)", "saddles.uphill_downhill_path(avoid)",
+        "saddles.uphill_downhill_path(table)", "simulate.JumpWalker.walk(max_steps)",
+        "verify._random_instances(seed0)", "verify.c6_exit_time_slope(beta_grid)",
+        "verify.c8_aac_convergence(beta_grid)", "verify.c9_transition_exponents(beta_grid)"]
+
+
+def test_commands_build_the_table_filtration_and_decomposition():
+    # the commands and the acceptance fixtures build each structure once and
+    # pass it down; c1 and c2 build their own for the random instances they draw
+    for name in ("saddle_table", "scoppola_filtration", "decompose_all"):
+        assert len(calls(name)) == len(callers(name))
+    fixtures = ["cli.cmd_aggregate", "cli.cmd_analyze", "cli.cmd_mb", "verify.c2_valley_oracle",
+                "verifydata.FixtureBundle.of"]
+    assert sorted(callers("saddle_table")) == sorted(fixtures + ["verify.c1_saddle_oracle"])
+    assert sorted(callers("scoppola_filtration")) == fixtures
+    assert sorted(callers("decompose_all")) == sorted(fixtures + ["reference.decompose"])
+
+
+def test_benchmark_entry_points_resolve():
+    # perfbench/spans.py wraps each of these names; one that is renamed or
+    # moved drops its three declared metrics from the traced benchmark run
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    entries = next(ast.literal_eval(node.value) for node in ast.parse(spans.read_text()).body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["ENTRY_POINTS"])
+    assert entries
+    missing = []
+    for entry in entries:
+        module, function = entry.split(".")
+        if not callable(getattr(importlib.import_module(f"metabasins.{module}"), function, None)):
+            missing.append(entry)
+    assert missing == []
 
 
 def test_one_json_serialiser_and_one_csv_path():

@@ -251,9 +251,9 @@ def test_exit_gates_l6(L6):
 
 def test_decompose_level_range(L6):
     with pytest.raises(ValueError):
-        decompose(L6.l, L6.f, 0)
+        decompose(L6.l, L6.f, 0, L6.table)
     with pytest.raises(ValueError):
-        decompose(L6.l, L6.f, 4)
+        decompose(L6.l, L6.f, 4, L6.table)
 
 
 def test_l14_reconstruction_nonassigned_sets(L14):
@@ -308,8 +308,9 @@ def test_star_tree_single_minimum():
         tuple(sorted({i - 1, i + 1} & set(range(6)))) for i in range(6)))
     f = scoppola_filtration(path)
     assert f.levels == 1
-    decomps = decompose_all(path, f)
-    tree = build_tree(path, f, decomps)
+    table = saddle_table(path)
+    decomps = decompose_all(path, f, table)
+    tree = build_tree(path, f, decomps, table)
     assert len(tree.generations) == 1
     assert all(p is None for p in tree.parent[0].values())
 
