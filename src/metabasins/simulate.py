@@ -10,9 +10,23 @@ One class, ``JumpWalker``, walks both chains on step tables built once per
 model from the kernel's row table (``TransitionModel.rows``), each replica on
 its own buffered uniform stream. ``run_metropolis`` is one lazy walk, and
 ``estimate_hitting`` takes its first step by it. ``walk`` jumps until a
-labelling of the states has changed K times: ``run_until_sigma`` (the
-metastate map), ``estimate_hitting`` (targets and competitors) and
-``aac_return_frequency``, which holds the whole walk (about 1.3M states in c12).
+labelling of the states has changed K times and returns the states as an
+ndarray: ``run_until_sigma`` (the metastate map), ``estimate_hitting``
+(targets and competitors) and ``aac_return_frequency``, which holds the whole
+walk (about 1.3M states in c12).
+
+Driven by its uniforms, the jump chain is a finite-state machine, and a long
+walk runs data-parallel along time (Mytkowicz, Musuvathi & Schulte, ASPLOS
+2014). With G the sorted values of every embedded cumulative row, a uniform u
+has the symbol #(G < u), and a step table M[symbol, state] gives exactly the
+neighbour the scalar rule picks. A walk takes its first ``HEAD_STEPS`` steps
+one at a time (the head), so short walks pay no numpy overhead; the rest of
+it goes in windows of the stream's chunks. Each window is cut into blocks,
+every state is run through every block at once, the block ends are chained
+from the true start, and one gather reads the path. That costs one table
+read per state per step, so a model with more than ``FSM_MAX_STATES`` states
+stays on the scalar rule throughout. The path and the stream position are
+those of repeated ``step`` calls, bit for bit.
 
 The path-dependent blocks of a trajectory cut it at the indices whose tail
 never revisits an earlier state. ``path_dependent_mb`` finds them in numpy in
@@ -27,9 +41,8 @@ once and hands its AAC on to ``pd_vs_pid_frequencies``.
 
 from __future__ import annotations
 
-import copy
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +91,20 @@ def _pinned(cums: np.ndarray) -> list[float]:
     return cums[:-1].tolist() + [1.0] * bool(len(cums))
 
 
+# A window reads one table entry per state per step, so its cost grows with
+# n while the scalar rule's does not. On gen_random_landscape(n, 4, 0.05, 1)
+# at beta 3 the window is 26% faster at n = 40 and 14% at 48, and slower from
+# 56 on; above FSM_MAX_STATES a walk stays scalar (CHANGES.md has the table).
+FSM_MAX_STATES = 40
+# A window costs as much numpy call overhead as a few hundred scalar steps,
+# so a walk goes scalar until it has run long enough to be likely to fill one
+# (estimate_hitting's walks rarely do).
+HEAD_STEPS = 1024       # scalar steps before a walk may switch to windows
+BLOCK = 16              # steps per enumerated block
+WINDOW_MIN, WINDOW_MAX = 1024, 8192
+CELLS = 4096            # equal cells of [0, 1) that look up a uniform's symbol
+
+
 class JumpWalker:
     """Lazy and embedded chain of one model, walked on a buffered uniform stream.
 
@@ -85,48 +112,95 @@ class JumpWalker:
     the row's states and r's neighbours with their cumulative lazy and embedded
     probabilities (each list ends in exactly 1.0), and p(r, r). A state whose
     exit probability is 0 (no neighbours, or every exit underflowed) has an
-    empty embedded row; ``walk``, ``step`` and ``holding`` raise
-    ``NoExitError`` from it, while lazy steps stay there. ``stream(rng)``
+    empty embedded row and no jump targets; ``walk``, ``step`` and ``holding``
+    raise ``NoExitError`` from it, while lazy steps stay there. ``stream(rng)``
     returns a walker on the same tables with its own stream: an empty buffer
     refilled from ``rng`` in chunks of 64 values, growing fourfold up to 65536,
-    so short replicas stay cheap. A step from r takes the next uniform u: a lazy
-    step goes to the first state of r's row whose cumulative value exceeds u, a
-    jump to the first neighbour whose cumulative value reaches u.
+    so short replicas stay cheap. A chunk is kept as the array ``rng`` returns
+    and listed once, on its first scalar read. A step from r takes the next
+    uniform u: a lazy step goes to the first state of r's row whose cumulative
+    value exceeds u, a jump to the first neighbour whose cumulative value
+    reaches u, ``neighbors[r][bisect_left(cums[r], u)]``.
+
+    With at most ``FSM_MAX_STATES`` states, the jump chain is also a table
+    M[symbol, state], built on the first window and shared by every stream.
+    G is the sorted set of every embedded cumulative value, u has the symbol
+    #(G < u), and M[r, s] is the neighbour of s that the scalar rule picks
+    for every u in (G[r-1], G[r]]. Column n is a sentinel state that every
+    empty row leads to and never leaves. A uniform in one of ``CELLS`` equal
+    cells of [0, 1) that holds no value of G has the cell's symbol; the
+    others are searched in G.
     """
 
     def __init__(self, model: TransitionModel):
+        n = model.n
         self._to = [to.tolist() for to, _ in model.rows]
         self._lazy = [_pinned(np.cumsum(p)) for _, p in model.rows]
-        self._neighbors = [[s for s in to if s != r] for r, to in enumerate(self._to)]
-        self._cums, self._exit = [], []
+        self._neighbors, self._cums, self._exit = [], [], []
         for r, (to, p) in enumerate(model.rows):
             exit_mass = float(off_diagonal_row_sums(model.P, [r])[0])
             self._exit.append(exit_mass)
-            self._cums.append(_pinned(np.cumsum(p[to != r]) / exit_mass) if exit_mass > 0 else [])
+            moves = to != r
+            self._cums.append(_pinned(np.cumsum(p[moves]) / exit_mass) if exit_mass > 0 else [])
+            self._neighbors.append(to[moves].tolist() if exit_mass > 0 else [])
         self._stay = np.diag(model.P).tolist()
-        self._own = list(range(model.n))   # every state its own label
+        # the finite-state machine's step table, built on the first window;
+        # a list, so that every stream shares it
+        self._fsm: list[tuple] | None = [] if n <= FSM_MAX_STATES else None
         self._rng: np.random.Generator | None = None
-        self._buf: list[float] = []
-        self._pos = 0
+        self._arr: np.ndarray | None = None   # the current chunk
+        self._buf: list[float] | None = None  # the same, listed on first scalar read
+        self._pos = self._end = 0
         self._chunk = 64
+
+    def _step_table(self) -> tuple:
+        """G; each cell's symbol and whether a value of G lies in it; M
+        flattened row by row, and its row length n + 1."""
+        if self._fsm:
+            return self._fsm[0]
+        n = len(self._cums)
+        lengths = [len(row) for row in self._cums]
+        values = np.concatenate([*self._cums, [1.0]])
+        G = np.unique(values)
+        in_cell = np.bincount((G * CELLS).astype(np.intp), minlength=CELLS + 1)[:CELLS]
+        # rows padded with +inf, whose target is the sentinel n
+        row = np.repeat(np.arange(n), lengths)
+        col = np.arange(len(row)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        cums = np.full((n + 1, max(lengths) + 1), np.inf)
+        targets = np.full(cums.shape, n, dtype=np.intp)
+        cums[row, col] = values[:-1]
+        targets[row, col] = np.concatenate(self._neighbors)
+        picks = np.zeros((len(G), n + 1), dtype=np.intp)
+        picks[1:] = (cums <= G[:-1, None, None]).sum(axis=2)
+        M = targets[np.arange(n + 1), picks]
+        self._fsm.append((G, np.cumsum(in_cell) - in_cell, in_cell > 0, M.ravel(), n + 1))
+        return self._fsm[0]
 
     def stream(self, rng: np.random.Generator) -> JumpWalker:
         """A walker on these tables drawing from ``rng``, buffer empty."""
-        walker = copy.copy(self)
-        walker._rng, walker._buf, walker._pos, walker._chunk = rng, [], 0, 64
+        walker = object.__new__(JumpWalker)   # copy.copy takes longer than a short replica
+        vars(walker).update(vars(self), _rng=rng, _arr=None, _buf=None, _pos=0, _end=0, _chunk=64)
         return walker
 
     def _refill(self) -> None:
         if self._rng is None:
             raise ValueError("the walker has no stream; call stream(rng) first")
-        self._buf = self._rng.random(self._chunk).tolist()
+        self._arr = self._rng.random(self._chunk)
+        self._buf = None
+        self._end = self._chunk
         self._pos = 0
         self._chunk = min(self._chunk * 4, 65536)
 
+    def _listed(self) -> list[float]:
+        """The current chunk as Python floats, converted once."""
+        if self._buf is None:
+            self._buf = self._arr.tolist()
+        return self._buf
+
     def uniform(self) -> float:
-        if self._pos >= len(self._buf):
+        if self._pos >= self._end:
             self._refill()
-        u = self._buf[self._pos]
+        u = (self._buf or self._listed())[self._pos]
         self._pos += 1
         return u
 
@@ -138,33 +212,61 @@ class JumpWalker:
             states.append(self._to[r][bisect_right(self._lazy[r], self.uniform())])
         return states
 
-    def walk(self, start: int, label, K: int, max_steps: int = 50_000_000) -> list[int]:
+    def walk(self, start: int, label, K: int, max_steps: int = 50_000_000) -> np.ndarray:
         """States from ``start`` up to and including the K-th change of
-        ``label[state]``; the walk reads the stream from its current position."""
+        ``label[state]``; the walk reads the stream from its current position.
+
+        A model with more than ``FSM_MAX_STATES`` states is walked by the
+        scalar rule alone. A smaller one takes ``HEAD_STEPS`` scalar steps, so
+        that short walks pay no numpy overhead, then scalar steps up to where
+        a window of at least ``WINDOW_MIN`` values starts, and goes on through
+        ``_windows``."""
+        if K < 0:
+            raise ValueError("K must be nonnegative")
+        states = [start]
+        if K == 0:
+            return np.array(states)
+        if self._fsm is None:
+            changes = self._jumps(states, label, K, 0, max_steps + 1)
+        else:
+            changes = self._jumps(states, label, K, 0, min(HEAD_STEPS, max_steps + 1))
+            if changes < K:
+                changes = self._jumps(states, label, K, changes,
+                                      min(len(states) - 1 + self._to_window(), max_steps + 1))
+        if len(states) > max_steps + 1:
+            raise RuntimeError(f"walk budget of {max_steps} steps exhausted "
+                               f"before the {K}-th label change")
+        if changes == K:
+            return np.array(states)
+        return self._windows(states, label, K, changes, max_steps)
+
+    def _jumps(self, states: list[int], label, K: int, changes: int, limit: int) -> int:
+        """Scalar steps appended to ``states``, until the K-th label change or
+        until ``limit`` steps in all; returns the number of changes."""
         # the loop runs for ~e^{beta * gap} steps per valley exit; keep it flat
         neighbors = self._neighbors
         cums = self._cums
-        buf = self._buf
-        pos = self._pos
-        nbuf = len(buf)
-        states = [start]
         append = states.append
-        cur = start
-        cur_label = label[start]
-        changes = 0
-        steps = 0
+        cur = states[-1]
+        cur_label = label[cur]
+        steps = len(states) - 1
+        if self._pos >= self._end:
+            self._refill()
+        buf = self._buf or self._listed()
+        pos = self._pos
+        nbuf = self._end
         try:
-            while changes < K:
+            while changes < K and steps < limit:
                 if pos >= nbuf:
                     self._refill()
-                    buf = self._buf
-                    nbuf = len(buf)
+                    buf = self._listed()
+                    nbuf = self._end
                     pos = 0
                 u = buf[pos]
                 pos += 1
                 row = cums[cur]
                 i = 0
-                while row[i] < u:
+                while row[i] < u:   # bisect_left(row, u), cheaper on short rows
                     i += 1
                 cur = neighbors[cur][i]
                 append(cur)
@@ -173,9 +275,6 @@ class JumpWalker:
                     changes += 1
                     cur_label = lab
                 steps += 1
-                if steps > max_steps:
-                    raise RuntimeError(f"walk budget of {max_steps} steps exhausted "
-                                       f"before the {K}-th label change")
         except IndexError:
             # only an empty row fails ``row[i]``; caught here, outside the
             # loop, so that steps from other states pay no check
@@ -184,11 +283,98 @@ class JumpWalker:
             raise NoExitError(cur) from None
         finally:
             self._pos = pos   # the stream goes on from here
-        return states
+        return changes
+
+    def _to_window(self) -> int:
+        """Values of the stream before the first one from which the rest of
+        its chunk holds at least ``WINDOW_MIN`` values: 0, or a chunk end."""
+        head, end, size = 0, self._end - self._pos, self._chunk
+        while end - head < WINDOW_MIN:
+            head = end
+            end += size
+            size = min(size * 4, 65536)
+        return head
+
+    def _windows(self, head: list[int], label, K: int, changes: int, max_steps: int) -> np.ndarray:
+        """The walk after its scalar ``head``, which saw ``changes`` label
+        changes, one window of the current chunk at a time; windows grow from
+        ``WINDOW_MIN`` to ``WINDOW_MAX`` steps. A window is cut at the K-th
+        change, at a step from a state without jump targets (``NoExitError``)
+        or at step ``max_steps + 1`` (``RuntimeError``), whichever comes
+        first, and the stream goes on just after the cut."""
+        n = self._step_table()[-1] - 1
+        # any label will do for the sentinel: a walk stops before stepping to it
+        labels = np.asarray(label)
+        labels = np.append(labels, labels[0])
+        cur = head[-1]
+        cur_label = labels[cur]
+        parts = [np.array(head)]
+        need = K - changes
+        budget = max_steps - (len(head) - 1)   # window index of step max_steps + 1
+        width = WINDOW_MIN
+        while True:
+            if self._pos >= self._end:
+                self._refill()
+            pos = self._pos
+            size = min(width, self._end - pos)
+            width = min(width * 4, WINDOW_MAX)
+            path = self._enumerate(cur, self._arr[pos:pos + size])
+            labs = labels[path]
+            changed = np.flatnonzero(labs != np.concatenate(([cur_label], labs[:-1])))
+            done = int(changed[need - 1]) if len(changed) >= need else size
+            trap = int(np.argmax(path == n)) if path[-1] == n else size
+            cut = min(done, trap, budget)
+            if cut < size:
+                self._pos = pos + cut + 1
+                if cut == trap:
+                    raise NoExitError(int(path[trap - 1]) if trap else cur)
+                if cut == budget:
+                    raise RuntimeError(f"walk budget of {max_steps} steps exhausted "
+                                       f"before the {K}-th label change")
+                parts.append(path[:cut + 1])
+                return np.concatenate(parts)
+            parts.append(path)
+            self._pos = pos + size
+            need -= len(changed)
+            budget -= size
+            cur = int(path[-1])
+            cur_label = labs[-1]
+
+    def _enumerate(self, cur: int, u: np.ndarray) -> np.ndarray:
+        """States after each uniform of ``u``, from ``cur``.
+
+        The window is cut into blocks of ``BLOCK`` steps, and every state
+        (the sentinel included) is run through every block at once, one
+        table read per step. Chaining the block ends from ``cur`` gives the
+        state each block really starts from, and one gather reads the path."""
+        G, cell_symbol, crowded, M, width = self._step_table()
+        size = len(u)
+        nb = -(-size // BLOCK)
+        cell = (u * CELLS).astype(np.intp)   # exact: CELLS is a power of 2
+        symbols = np.zeros(nb * BLOCK, dtype=np.intp)
+        symbols[:size] = cell_symbol[cell]
+        hard = np.flatnonzero(crowded[cell])
+        symbols[hard] = np.searchsorted(G, u[hard])
+        rows = (symbols * width).reshape(nb, BLOCK).T.copy()
+        trace = np.empty((BLOCK, width, nb), dtype=np.intp)
+        at = np.broadcast_to(np.arange(width)[:, None], (width, nb))
+        for j in range(BLOCK):
+            at = trace[j] = M[rows[j] + at]
+        ends = trace[-1].tolist()
+        starts = []
+        s = cur
+        for b in range(nb):
+            starts.append(s)
+            s = ends[s][b]
+        return trace[:, starts, np.arange(nb)].T.ravel()[:size]
 
     def step(self, r: int) -> int:
-        """One jump: a walk until the state itself changes once."""
-        return self.walk(r, self._own, 1)[-1]
+        """One jump from r."""
+        u = self.uniform()
+        try:
+            return self._neighbors[r][bisect_left(self._cums[r], u)]
+        except IndexError:
+            raise NoExitError(r) from None
 
     def holding(self, r: int) -> float:
         """Lazy steps spent at r before moving, a Geometric(1 - p(r,r)) draw."""
@@ -294,7 +480,7 @@ def estimate_exit_time(model: TransitionModel, d, m: int,
 
 def run_until_sigma(walker: JumpWalker, ms: MetastateSpace, start: int, K: int) -> np.ndarray:
     """Jump-chain trajectory from ``start`` up to and including its K-th AC change."""
-    return np.asarray(walker.walk(start, ms.rep_of.tolist(), K), dtype=int)
+    return walker.walk(start, ms.rep_of.tolist(), K)
 
 
 def strict_basins_for(ms: MetastateSpace, decomps: list[ValleyDecomposition]) -> dict[int, frozenset[int]]:
@@ -348,6 +534,10 @@ def pd_vs_pid_frequencies(model: TransitionModel, ms: MetastateSpace,
 
     Returns (freq_a per k, freq_b, freq_c, y1_counts, first_valley_counts).
     """
+    if reps < 1:
+        raise ValueError("reps must be positive")
+    if K < 1:
+        raise ValueError("K must be positive")
     count_a = np.zeros(K)
     count_b = 0
     count_c = 0

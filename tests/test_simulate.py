@@ -205,6 +205,106 @@ def test_walk_continues_the_stream_like_single_steps(L14X):
         assert states.tolist() == stepped
 
 
+WALK_BUDGET = 30_000
+
+
+def stream_after(walker, seed, advance):
+    """A stream on ``seed`` that has already drawn ``advance`` uniforms."""
+    w = walker.stream(np.random.default_rng(seed))
+    for _ in range(advance):
+        w.uniform()
+    return w
+
+
+def stepped_walk(w, start, label, K, max_steps):
+    """``walk`` by repeated single jumps: the oracle of the table walk."""
+    states = [start]
+    changes = 0
+    while changes < K:
+        states.append(w.step(states[-1]))
+        changes += label[states[-1]] != label[states[-2]]
+        if len(states) > max_steps + 1:
+            raise RuntimeError("budget")
+    return states
+
+
+def outcome(w, go):
+    """What ``go(w)`` returns or raises, and the next uniform after it."""
+    try:
+        result = go(w)
+    except NoExitError as e:
+        result = ("no exit", e.state)
+    except RuntimeError:
+        result = ("budget",)
+    return result, w.uniform()
+
+
+def assert_walk_is_stepped(walker, seed, advance, start, label, K, max_steps):
+    walked = outcome(stream_after(walker, seed, advance),
+                     lambda w: w.walk(start, label, K, max_steps).tolist())
+    stepped = outcome(stream_after(walker, seed, advance),
+                      lambda w: stepped_walk(w, start, label, K, max_steps))
+    assert walked == stepped
+    return walked[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 2 * simulate.FSM_MAX_STATES), gen_seed=st.integers(0, 10_000),
+       beta=st.floats(0.5, 12.0), K=st.integers(0, 40), advance=st.integers(0, 2000),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_walk_matches_single_steps(n, gen_seed, beta, K, advance, seed, data):
+    # both sides of FSM_MAX_STATES; a stream advanced by up to 2000 uniforms,
+    # and a budget that reaches its 65536-value chunk, put the windows across
+    # every chunk boundary
+    l = gen_random_landscape(n, 4, 0.05, seed=gen_seed)
+    model = build_metropolis(l, beta)
+    # dense labels change often; a few marked states, or the states above an
+    # energy level, make walks that run long
+    marked = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+    level = data.draw(st.floats(0.0, 1.0))
+    label = data.draw(st.one_of(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.just([marked.count(s) for s in range(n)]),
+        st.just((l.energy > np.quantile(l.energy, level)).tolist())))
+    start = data.draw(st.integers(0, n - 1))
+    assert_walk_is_stepped(JumpWalker(model), seed, advance, start, label, K, WALK_BUDGET)
+
+
+def test_walk_reaches_a_state_without_exit_after_its_head():
+    # state 3 lies 1000 below its one neighbour, so at beta 5 it cannot be
+    # left; the walk reaches it only over the barrier at state 2, after more
+    # steps than the scalar head takes
+    l = Landscape(np.array([0.0, 0.1, 1.2, -1000.0]), ((1,), (0, 2), (1, 3), (2,)))
+    walker = JumpWalker(build_metropolis(l, 5.0))
+    assert l.n <= simulate.FSM_MAX_STATES
+    for seed in (0, 1, 3):
+        trapped = assert_walk_is_stepped(walker, seed, 0, 0, [0] * 4, 1, WALK_BUDGET)
+        assert trapped == ("no exit", 3)
+    steps = stepped_walk(walker.stream(np.random.default_rng(1)), 0, [0, 0, 0, 1], 1, WALK_BUDGET)
+    assert len(steps) > 2368   # past a fresh stream's scalar head (1344) and first window
+
+
+def test_walk_stops_inside_a_window(L14X):
+    # c11's walks (beta 10, three metastate changes from label 4) run for
+    # tens of thousands of steps; 5440 values fill a stream's first five
+    # chunks, and after 1400 drawn values the first window starts inside the
+    # 4096-value chunk
+    walker = JumpWalker(build_metropolis(L14X.l, 10.0))
+    rep = ms_at(L14X, 5).rep_of.tolist()
+    for seed, advance in ((0, 0), (6, 1400)):
+        states = assert_walk_is_stepped(walker, seed, advance, L14X.l.index_of_label(4), rep, 3,
+                                        50_000)
+        assert 10_000 < len(states) < 50_000
+    for advance, max_steps in ((0, 5000), (0, 5439), (0, 5440), (1400, 3000)):
+        result = assert_walk_is_stepped(walker, 2, advance, 0, [0] * L14X.l.n, 1, max_steps)
+        assert result == ("budget",)
+
+
+def test_walk_rejects_a_negative_K(L6):
+    with pytest.raises(ValueError, match="K must be nonnegative"):
+        walker_on(build_metropolis(L6.l, 1.0), 1).walk(0, [0] * 6, -1)
+
+
 def test_walk_budget_and_unseeded_walker(L6):
     model = build_metropolis(L6.l, 3.0)
     with pytest.raises(RuntimeError):
@@ -473,6 +573,17 @@ def test_pd_vs_pid_projects_each_trajectory_once(L14X, monkeypatch):
     simulate.pd_vs_pid_frequencies(model, ms, strict_basins_for(ms, L14X.decomps),
                                    L14X.l.index_of_label(4), 3, reps=7, seed=1)
     assert len(calls) == 7
+
+
+def test_pd_vs_pid_rejects_empty_batches_and_horizons(L14X):
+    ms = ms_at(L14X, 5)
+    model = build_metropolis(L14X.l, 4.0)
+    strict_of = strict_basins_for(ms, L14X.decomps)
+    start = L14X.l.index_of_label(4)
+    for K, reps, message in ((3, 0, "reps must be positive"), (0, 5, "K must be positive"),
+                             (-1, 5, "K must be positive")):
+        with pytest.raises(ValueError, match=message):
+            simulate.pd_vs_pid_frequencies(model, ms, strict_of, start, K, reps, seed=1)
 
 
 # Values recorded before the walker refactor; any change in how the walk

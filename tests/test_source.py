@@ -30,9 +30,11 @@ def test_library_has_no_assert_statements():
 
 def test_one_lazy_step_rule():
     # the lazy chain is sampled only by JumpWalker.lazy_walk on the kernel's
-    # row table: no searchsorted, and no cumulative sum along a matrix axis
+    # row table: no cumulative sum along a matrix axis, and searchsorted only
+    # where the jump-chain table maps uniforms to its symbols
     assert calls("cumsum")
-    assert [where for where, _ in calls("searchsorted")] == []
+    assert len(calls("searchsorted")) == 1
+    assert callers("searchsorted") == ["simulate.JumpWalker._enumerate"]
     assert [where for where, call in calls("cumsum")
             if len(call.args) > 1 or any(k.arg == "axis" for k in call.keywords)] == []
 
