@@ -157,10 +157,10 @@ def valley_transition_limits(ms: MetastateSpace, jc: JumpChainLimit):
     nlist = np.array(jc.metastates)[na].tolist()
     if not nlist:
         raise ValueError("no non-assigned states at this level; nothing to traverse")
-    A = jc.phat[np.ix_(na, na)]
     try:
-        absorb = np.linalg.solve(np.eye(len(nlist)) - A, jc.phat[np.ix_(na, ~na)])
+        absorb = _absorbing_solve(jc.phat, np.flatnonzero(na), jc.phat[np.ix_(na, ~na)])
     except np.linalg.LinAlgError:
+        A = jc.phat[np.ix_(na, na)]
         tied = np.argwhere(np.triu((A > 0) & (A.T > 0))).tolist()
         raise ValueError("the jump-chain limit is trapped among non-assigned neighbours "
                          f"of equal energy: {[(nlist[a], nlist[b]) for a, b in tied]}") from None

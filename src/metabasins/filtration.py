@@ -3,19 +3,21 @@
 Starting from the full set of local minima, each step removes the minimum
 whose cheapest activation energy to any other remaining minimum is smallest,
 until a single state survives. Ties (possible because activation energies are
-sums even though energies are distinct) delete the higher-energy minimum.
+sums even though energies are distinct) delete the higher-energy minimum,
+and then the smaller state (equal energies are reachable only through the API).
 
-One single-source climb search per local minimum gives the k x k matrix of
-activation energies between minima; the deletion loop then only reads it.
+Each surviving minimum keeps the result of one climb search stopped at its
+nearest other survivor; the search runs again only when that survivor is
+deleted. A stopped search never sees the whole graph, so connectivity of the
+minima is checked once beforehand.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .landscape import Landscape, LandscapeError
-from .saddles import climb_costs
+from .landscape import Landscape, LandscapeError, reachable
+from .saddles import climb
 
 
 def local_minima(l: Landscape) -> frozenset[int]:
@@ -52,32 +54,23 @@ def scoppola_filtration(l: Landscape) -> Filtration:
     minima = sorted(local_minima(l))
     if not minima:
         raise ValueError("landscape has no local minimum")
-    # climb[a][b]: activation energy from minimum a to minimum b (list indices)
-    climb = []
-    for m in minima:
-        row = climb_costs(l, m)
-        climb.append([row[n] for n in minima])
-    if any(math.isinf(c) for row in climb for c in row):
+    if not reachable(l, minima[0], range(l.n)).issuperset(minima):
         raise LandscapeError("landscape not connected")
     energy = l.energy.tolist()
-    current = set(range(len(minima)))
-
-    def row_min(a):
-        return min(((climb[a][b], b) for b in current if b != a), default=(math.inf, None))
-
-    # each row's (cost, argmin) over the surviving minima; a row is rescanned
-    # only when its argmin is deleted
-    best = {a: row_min(a) for a in current}
+    alive = set(minima)
+    # each survivor's (cost, state) of its nearest other survivor; searched
+    # again only when that survivor is deleted
+    nearest = {a: climb(l.neighbors, energy, a, alive - {a}) for a in minima}
     order: list[int] = []
     costs: list[float] = []
-    while len(current) > 1:
-        # tie break: prefer smaller cost, then higher energy
-        a = min(current, key=lambda a: (best[a][0], -energy[minima[a]]))
-        current.remove(a)
-        order.append(minima[a])
-        costs.append(best.pop(a)[0])
-        for r in current:
-            if best[r][1] == a:
-                best[r] = row_min(r)
-    order.append(minima[current.pop()])
+    while len(alive) > 1:
+        # tie break: prefer smaller cost, then higher energy, then smaller state
+        a = min(alive, key=lambda a: (nearest[a][0], -energy[a], a))
+        alive.remove(a)
+        order.append(a)
+        costs.append(nearest.pop(a)[0])
+        for r in alive:
+            if nearest[r][1] == a:
+                nearest[r] = climb(l.neighbors, energy, r, alive - {r})
+    order.append(alive.pop())
     return Filtration(tuple(order), tuple(costs))

@@ -13,7 +13,8 @@ links, ``essential_saddle`` reads one pair from its root paths, and the valley
 layer, with a level's strict basins as labelled walls, asks it which basins a
 state's walled sublevel component borders. The tests check it against a
 minimax Dijkstra, a sublevel breadth-first search and path enumeration in
-``reference``. ``rising_reach`` is the strictly rising search of the
+``reference``. ``climb`` is the one climb search, behind the filtration and
+``activation_energy``. ``rising_reach`` is the strictly rising search of the
 metabasin scan; ``uphill_downhill_path``, the per-pair search it replaced
 there, is kept as the tests' oracle.
 """
@@ -163,39 +164,41 @@ def essential_saddle(l: Landscape, r: int, s: int) -> tuple[int, float]:
     return z, float(l.energy[z])
 
 
-def climb_costs(l: Landscape, s: int) -> list[float]:
-    """Least cumulative uphill climb from s to every state (inf if unreachable).
+def climb(neighbors, energy: list[float], start: int, targets) -> tuple[float, int]:
+    """Least cumulative uphill climb from ``start`` to ``targets``, and the least
+    target at that cost; (inf, -1) if no target is reachable.
 
-    One full Dijkstra with step weight (E(t)-E(u))^+ for a move u -> t. The
-    optimum over walks equals the optimum over self-avoiding paths (dropping a
-    loop never increases the sum), so a plain shortest path is exact. A popped
-    distance is final, so each entry equals what a search stopped at that
-    target would return.
+    Dijkstra with step weight (E(t)-E(u))^+ for a move u -> t. The optimum
+    over walks equals the optimum over self-avoiding paths (dropping a loop
+    never increases the sum), so a plain shortest path is exact. The search
+    stops once the heap's top costs more than the first settled target; the
+    entries at that cost are drained first, since a target of equal cost can
+    still be reached through a later zero-climb move. Its pops are a prefix
+    of the full search's, so each cost equals the full search's distance.
     """
-    energy = l.energy.tolist()
-    dist = [math.inf] * l.n
-    dist[s] = 0.0
-    heap = [(0.0, s)]
-    done = [False] * l.n
-    while heap:
+    dist = {start: 0.0}
+    heap = [(0.0, start)]
+    best, found = math.inf, -1
+    while heap and heap[0][0] <= best:
         d, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
+        if d > dist[v]:
+            continue    # superseded by a cheaper entry, already popped
+        if v in targets and (found < 0 or v < found):
+            best, found = d, v
         ev = energy[v]
-        for u in l.neighbors[v]:
+        for u in neighbors[v]:
             nd = d + max(energy[u] - ev, 0.0)
-            if nd < dist[u]:
+            if nd < dist.get(u, math.inf):
                 dist[u] = nd
                 heapq.heappush(heap, (nd, u))
-    return dist
+    return best, found
 
 
 def activation_energy(l: Landscape, s: int, m: int) -> float:
-    """Least cumulative uphill climb from s to m (see ``climb_costs``)."""
+    """Least cumulative uphill climb from s to m (see ``climb``)."""
     if s == m:
         raise ValueError("s == m")
-    cost = climb_costs(l, s)[m]
+    cost, _ = climb(l.neighbors, l.energy.tolist(), s, {m})
     if math.isinf(cost):
         raise ValueError("states not connected")
     return cost

@@ -136,10 +136,9 @@ class JumpWalker:
         n = model.n
         self._to = [to.tolist() for to, _ in model.rows]
         self._lazy = [_pinned(np.cumsum(p)) for _, p in model.rows]
-        self._neighbors, self._cums, self._exit = [], [], []
-        for r, (to, p) in enumerate(model.rows):
-            exit_mass = float(off_diagonal_row_sums(model.P, [r])[0])
-            self._exit.append(exit_mass)
+        self._neighbors, self._cums = [], []
+        self._exit = off_diagonal_row_sums(model.P, range(n)).tolist()
+        for r, ((to, p), exit_mass) in enumerate(zip(model.rows, self._exit)):
             moves = to != r
             self._cums.append(_pinned(np.cumsum(p[moves]) / exit_mass) if exit_mass > 0 else [])
             self._neighbors.append(to[moves].tolist() if exit_mass > 0 else [])

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -742,3 +743,42 @@ def test_exact_laws_raise_when_the_exit_mass_is_lost(L14X):
         exact_jump_distribution(model, ms, m4)
     with pytest.raises(ValueError, match="total mass"):
         exact_valley_transition(model, ms, m4)
+
+
+def _canonical(obj):
+    """A repr-able copy of ``obj`` with exact floats and sorted dicts and sets."""
+    if isinstance(obj, dict):
+        return sorted((_canonical(k), _canonical(v)) for k, v in obj.items())
+    if isinstance(obj, (set, frozenset)):
+        return sorted(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_canonical(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return (str(obj.dtype), obj.shape, obj.tobytes().hex())
+    if isinstance(obj, float):
+        return obj.hex()
+    return obj
+
+
+def test_tied_energies_pinned():
+    # the np.round(energy, 1) twin of gen_random_landscape(300, 4, 0.05, 1):
+    # 75 tied energies reach only the library (load_landscape rejects them);
+    # sha256 of the filtration, every decomposition level and the scan's D and
+    # udh, recorded before the filtration's climb matrix was replaced
+    l = gen_random_landscape(300, 4, 0.05, 1)
+    l = Landscape(np.round(l.energy, 1), l.neighbors)
+    f = scoppola_filtration(l)
+    table = saddles.saddle_table(l)
+    decomps = decompose_all(l, f, table)
+    scan = [escape_exponents(l, metastate_space(decomps[i - 1], f), table)
+            for i in range(1, f.levels - 1)]
+    digests = {name: hashlib.sha256(repr(_canonical(value)).encode()).hexdigest()
+               for name, value in [("filtration", (f.deletion_order, f.deletion_costs)),
+                                   ("decompositions", [vars(d) for d in decomps]),
+                                   ("scan", scan)]}
+    assert (f.levels, len(l.energy) - len(np.unique(l.energy))) == (91, 75)
+    assert digests == {
+        "filtration": "f338106c45d5f71047713658dd6a7f2d956e436807995688dd5024098d350bf1",
+        "decompositions": "9546199a86d042df24797a5a3d6892d3edfaffafafd94ef74cc721472a91235d",
+        "scan": "df6a0a0cfb37992cc9e2ec4256db768b87a3fd0f465a5e0730a99972cac6333a",
+    }

@@ -378,7 +378,9 @@ def test_simulate_and_aggregate_outputs_pinned(tmp_path, name):
     assert digests == PINNED_OUTPUTS[name]
 
 
-# sha256 of analyze's and mb's outputs, recorded before the writers were rewritten
+# sha256 of analyze's and mb's outputs, recorded before the writers were
+# rewritten; rand300 (gen_random_landscape(300, 4, 0.05, 1)) also pins
+# aggregate's, recorded before the filtration's climb matrix was replaced
 PINNED_ANALYZE_MB = {
     "L6": {
         "filtration.json": "121cc2c5d6fbe6589ba1c2bff5631debe1938735d64b9117108f0f1ac2554226",
@@ -408,20 +410,32 @@ PINNED_ANALYZE_MB = {
         "saddles.csv": "0a859df1c7da0e4919d397591d1c18caaa1979a3f763f70e5dc404aa37291c99",
         "mb.json": "307a5c383a51163e454b7bf8ead4cba57ffb29733074c0aec96c364267c77dad",
     },
+    "rand300": {
+        "filtration.json": "4e34ac07cbcd37e27c418cf5bfae6247fdd93d846f1c008fbca7a823f55289e3",
+        "valleys.json": "4feccd2a2764f1e4a6042eb4ef0d2f0951b7a7c8f2fe5cdb951608822db584d2",
+        "tree.dot": "942a2ff42227845a2a87081b0e68c81ced802c04d76b66639410a1c476f7db4f",
+        "saddles.csv": "bea3f81031d42f7daecf70e2087d45137705aa134ebc88f2b84a1aa919f2ef0d",
+        "mb.json": "655559ee2d6ee6050f7a801fd96f87e74526b406abb5f37f1422bd702005f306",
+        "phat.json": "fa60ddc9907a9be035dc60ebcd6e902e7aac47db823d6b9d0d6cb903b53bc26e",
+        "transition_matrix.csv": "26c56d53e922511f99fced3c3e7b0e029d82a0b10eb2f020dad3643b1ea7c2a6",
+        "exponents.json": "1eb2357d21876a89c06022803aaea1214a2d6bfed952e8031ce1d0a003285f0d",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_ANALYZE_MB))
 def test_analyze_and_mb_outputs_pinned(tmp_path, name, capsys):
-    if name == "rand60":
-        path = tmp_path / "rand60.json"
-        save_landscape(gen_random_landscape(60, 4, 0.05, 1), path)
+    if name.startswith("rand"):
+        path = tmp_path / f"{name}.json"
+        save_landscape(gen_random_landscape(int(name[4:]), 4, 0.05, 1), path)
         source = ["--landscape", str(path)]
     else:
         source = ["--canonical", name]
     out = tmp_path / "out"
     assert run(["analyze", *source, "--out", str(out)]) == 0
     assert run(["mb", *source, "--eps", "0.5", "--out", str(out)]) == 0
+    if "phat.json" in PINNED_ANALYZE_MB[name]:
+        assert run([*AGGREGATE, *source, "--out", str(out)]) == 0
     digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
                for f in PINNED_ANALYZE_MB[name]}
     assert digests == PINNED_ANALYZE_MB[name]

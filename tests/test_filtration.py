@@ -60,6 +60,16 @@ def test_disconnected_minima_raise():
         scoppola_filtration(l)
 
 
+def test_components_with_two_minima_each_raise():
+    # every minimum has a survivor within its own component until one
+    # minimum per component is left
+    l = Landscape(np.array([0.0, 3.0, 1.0, 0.5, 4.0, 1.5]),
+                  ((1,), (0, 2), (1,), (4,), (3, 5), (4,)))
+    assert local_minima(l) == {0, 2, 3, 5}
+    with pytest.raises(LandscapeError, match="landscape not connected"):
+        scoppola_filtration(l)
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_deletion_minimizes_activation_oracle(seed):
     l = gen_random_landscape(5 + seed % 5, 3, 0.05, seed=600 + seed)
@@ -128,14 +138,32 @@ def test_cost_tie_deletes_higher_minimum():
 
 
 def test_one_climb_search_per_minimum(monkeypatch):
+    # k searches, one per minimum towards every other minimum; then, after
+    # each deletion, one per survivor whose nearest survivor was deleted,
+    # towards the survivors other than itself
     l = gen_random_landscape(40, 4, 0.05, seed=5)
-    sources = []
-    real = filtration.climb_costs
+    searches = []
+    real = filtration.climb
 
-    def counting(l, s):
-        sources.append(s)
-        return real(l, s)
+    def recording(neighbors, energy, start, targets):
+        found = real(neighbors, energy, start, targets)
+        searches.append((start, frozenset(targets), found[1]))
+        return found
 
-    monkeypatch.setattr(filtration, "climb_costs", counting)
-    scoppola_filtration(l)
-    assert sorted(sources) == sorted(local_minima(l))
+    monkeypatch.setattr(filtration, "climb", recording)
+    f = scoppola_filtration(l)
+    alive = set(local_minima(l))
+    nearest = {}
+    expected = sorted(alive)
+    reruns = 0
+    for m in (None, *f.deletion_order[:-1]):
+        if m is not None:
+            alive.remove(m)
+            del nearest[m]
+            expected = sorted(r for r in alive if nearest[r] == m)
+            reruns += len(expected)
+        batch, searches = searches[:len(expected)], searches[len(expected):]
+        assert sorted((s, t) for s, t, _ in batch) == [(r, frozenset(alive - {r})) for r in expected]
+        nearest.update((s, found) for s, _, found in batch)
+    assert searches == []
+    assert reruns > 0

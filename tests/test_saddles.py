@@ -6,6 +6,7 @@ from metabasins.landscape import Landscape, LandscapeError, gen_random_landscape
 from metabasins.reference import minimax_path
 from metabasins.saddles import (
     activation_energy,
+    climb,
     essential_saddle,
     saddle_table,
     sublevel_connected,
@@ -88,6 +89,16 @@ def test_activation_energy_l6(L6):
     assert activation_energy(L6.l, 4, 0) == 9.0
     # strictly downhill: no positive increments
     assert activation_energy(L6.l, 5, 4) == 0.0
+
+
+def test_climb_drains_equal_cost_targets():
+    # target 2 is settled first at cost 1; target 1 costs 1 too, through a
+    # later zero-climb move from 3, and is the lesser state
+    energy = [0.0, 0.5, 1.0, 1.0, 2.0]
+    neighbors = ((2, 3), (3,), (0,), (0, 1), ())
+    assert climb(neighbors, energy, 0, {1, 2}) == (1.0, 1)
+    assert climb(neighbors, energy, 0, {2}) == (1.0, 2)
+    assert climb(neighbors, energy, 0, {4}) == (float("inf"), -1)
 
 
 @pytest.mark.parametrize("seed", range(15))

@@ -50,15 +50,21 @@ def test_imports_only_stdlib_and_numpy():
 
 
 def test_one_absorbing_chain_solve():
-    # linear systems are solved in chain._absorbing_solve, and for the
-    # jump-chain limit's first valley entries in valley_transition_limits
+    # every linear system, the jump-chain limit's first valley entries
+    # included, is solved in chain._absorbing_solve
     solvers = [f"{name}:{fn.name}" for name, tree in TREES.items()
                for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                for node in ast.walk(fn) if isinstance(node, ast.Call)
                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "solve"]
     assert len(calls("solve")) == len(solvers)
-    assert sorted(solvers) == ["aggregation.py:valley_transition_limits",
-                               "chain.py:_absorbing_solve"]
+    assert solvers == ["chain.py:_absorbing_solve"]
+
+
+def test_one_heap_search():
+    # the climb search behind the filtration and activation energies, and the
+    # tests' minimax oracle, are the only Dijkstra searches
+    assert len(calls("heappop")) == len(callers("heappop"))
+    assert sorted(callers("heappop")) == ["reference.minimax_path", "saddles.climb"]
 
 
 def scopes(tree):
