@@ -8,10 +8,12 @@ The kernel is the lazy Metropolis chain
 with C(r) = |N(r)| + 1 so that p(r,r) > 0 on every graph. ``P`` holds it
 dense for the exact solvers below. ``rows`` lists per state r the states r can
 move to (r included, in index order) with p(r, .) read from ``P``; it feeds
-``simulate.JumpWalker`` and ``aggregate``'s transition_matrix.csv. Hitting
-quantities use the first-return convention tau_A = inf{n >= 1 : X_n in A};
-when the start state lies in A or B one explicit first step is taken before
-reading the absorption values.
+``simulate.JumpWalker`` and ``aggregate``'s transition_matrix.csv. At large
+beta the entry of a move can underflow to 0.0, and the kernel's graph is then
+no longer the landscape's; ``check_moves`` names the first such move (the CLI
+runs it after each build). Hitting quantities use the first-return convention
+tau_A = inf{n >= 1 : X_n in A}; when the start state lies in A or B one
+explicit first step is taken before reading the absorption values.
 
 Linear systems are assembled in one place, ``_absorbing_solve``, with
 diagonals built as sums of positive off-diagonal mass, never as 1 - p(r,r).
@@ -88,6 +90,28 @@ def build_metropolis(l: Landscape, beta: float) -> TransitionModel:
     w = C * np.exp(-beta * (energy - energy.min()))
     pi = w / w.sum()
     return TransitionModel(l, float(beta), C, P, gamma_beta(l, beta), pi, tuple(rows))
+
+
+class LostMoveError(ValueError):
+    """A move between neighbours has kernel entry exactly 0.0: its
+    exp(-beta (E(s)-E(r))^+) / C(r) fell below the least subnormal float."""
+
+    def __init__(self, r, s, beta: float):
+        super().__init__(f"at beta {beta:g} the kernel entry p({r}, {s}) underflows to 0.0, "
+                         f"so the chain loses the move {r} -> {s}; use a smaller beta")
+        self.move, self.beta = (r, s), beta
+
+
+def check_moves(model: TransitionModel) -> None:
+    """Raise ``LostMoveError`` for the first neighbour pair (r, s), by r and
+    then s, whose kernel entry is exactly 0.0; the pair is named by labels.
+    p(r, r) >= 1/C(r) up to rounding, so only a move can be 0.0."""
+    if (np.concatenate([p for _, p in model.rows]) > 0.0).all():
+        return
+    labels = model.landscape.labels
+    r, s = next((r, int(to[p == 0.0][0])) for r, (to, p) in enumerate(model.rows)
+                if not p.all())
+    raise LostMoveError(labels[r], labels[s], model.beta)
 
 
 def off_diagonal_row_sums(P: np.ndarray, rows) -> np.ndarray:

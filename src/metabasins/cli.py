@@ -22,7 +22,7 @@ from .aggregation import (
     metastate_space,
     valley_transition_limits,
 )
-from .chain import build_metropolis
+from .chain import build_metropolis, check_moves
 from .filtration import scoppola_filtration
 from .landscape import Landscape, LandscapeError, canonical, load_landscape
 from .saddles import saddle_table
@@ -164,6 +164,7 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     l = _load(args)
     model = build_metropolis(l, args.beta)
+    check_moves(model)
     start = l.index_of_label(args.start) if args.start is not None else int(np.argmin(l.energy))
     traj = simulate.run_metropolis(model, start, args.steps, args.seed)
     out = Path(args.out)
@@ -190,6 +191,8 @@ def cmd_aggregate(args) -> int:
     level = args.level if args.level is not None else max(f.levels - 1, 1)
     if not 1 <= level <= f.levels:
         raise ValueError(f"--level must be between 1 and {f.levels}, got {level}")
+    model = build_metropolis(l, args.beta)
+    check_moves(model)   # before any output is written
     table = saddle_table(l)
     decomps = decompose_all(l, f, table)
     ms = metastate_space(decomps[level - 1], f)
@@ -201,7 +204,6 @@ def cmd_aggregate(args) -> int:
         "rows": {str(lab[m]): {str(lab[s]): p for s, p in zip(jc.metastates, row) if p > 0}
                  for m, row in zip(jc.metastates, jc.phat.tolist())},
     })
-    model = build_metropolis(l, args.beta)
     _write_csv(Path(args.out) / "transition_matrix.csv", "from,to,p", (
         f"{lab[a]},{lab[b]},{q:.12g}\r\n"
         for a, (to, p) in enumerate(model.rows) for b, q in zip(to, p) if q > 0))
@@ -250,6 +252,11 @@ def cmd_mb(args) -> int:
 def cmd_verify(args) -> int:
     only = set(args.only.split(",")) if args.only is not None else None
     grid = _parse_grid(args.beta_grid) if args.beta_grid else None
+    if grid is not None:
+        # the grid's criteria run on L6 and L14X; refuse a beta that loses a move
+        for l in (canonical("L6"), canonical("L14X")):
+            for beta in grid.tolist():
+                check_moves(build_metropolis(l, beta))
     report = verify.run_acceptance(only=only, beta_grid=grid)
     for crit in report["criteria"]:
         print(f"{'PASS' if crit['passed'] else 'FAIL'}  {crit['name']}")

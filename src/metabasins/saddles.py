@@ -66,9 +66,12 @@ class Sweep:
     s's component in the sublevel set {x : E(x) <= e} minus the walls.
 
     A component touches a wall w through an edge (v, w) once both lie in the
-    sublevel set, at max(E(v), E(w)). Each root keeps, per wall label, the
-    energy at which its component first touched a wall with that label
-    (``touch``); a link passes the absorbed root's labels on at its stamp.
+    sublevel set, at max(E(v), E(w)). Each root keeps its component's first
+    two wall labels, each with the energy at which it first touched
+    (``touch``); they arrive in sweep order, so by increasing energy. A link
+    appends the absorbed root's labels that its root lacks, at its stamp,
+    while fewer than two are kept. Two are enough to tell one label from
+    several.
     """
 
     def __init__(self, l: Landscape, wall=None):
@@ -78,7 +81,13 @@ class Sweep:
         self.stamp = stamp = [math.inf] * l.n
         self.via = via = [-1] * l.n
         self.links = links = []
-        self.touch = touch = {}   # root -> {wall label: first touch energy}
+        self.touch = touch = {}   # root -> {wall label: first touch energy}, two at most
+
+        def reach(root, label, e):
+            kept = touch.setdefault(root, {})
+            if len(kept) < 2:
+                kept.setdefault(label, e)
+
         size, active, passed = [1] * l.n, [False] * l.n, [False] * l.n
         for z in np.argsort(l.energy).tolist():
             ez = energy[z]
@@ -86,12 +95,12 @@ class Sweep:
                 passed[z] = True
                 for u in l.neighbors[z]:
                     if active[u]:
-                        touch.setdefault(self._root(u, math.inf), {}).setdefault(wall[z], ez)
+                        reach(self._root(u, math.inf), wall[z], ez)
                 continue
             active[z] = True
             for u in l.neighbors[z]:
                 if passed[u]:
-                    touch.setdefault(self._root(z, math.inf), {}).setdefault(wall[u], ez)
+                    reach(self._root(z, math.inf), wall[u], ez)
                 if not active[u]:
                     continue
                 a, b = self._root(z, math.inf), self._root(u, math.inf)
@@ -102,10 +111,8 @@ class Sweep:
                 parent[b], stamp[b], via[b] = a, ez, z
                 size[a] += size[b]
                 links.append(b)
-                if b in touch:
-                    merged = touch.setdefault(a, {})
-                    for label in touch[b]:
-                        merged.setdefault(label, ez)
+                for label in touch.get(b, ()):
+                    reach(a, label, ez)
 
     def _root(self, v: int, e: float) -> int:
         parent, stamp = self.parent, self.stamp
@@ -121,10 +128,12 @@ class Sweep:
             path.append(v)
         return path
 
-    def touched(self, s: int, e: float) -> list[int]:
-        """Wall labels bordering s's component of {E <= e} minus the walls (none if E(s) > e)."""
-        touches = self.touch.get(self._root(s, e), {})
-        return [label for label, first in touches.items() if first <= e]
+    def attractor(self, s: int, e: float) -> int | None:
+        """The wall label bordering s's component of {E <= e} minus the walls,
+        if it borders exactly one; None if it borders none or several (or if
+        E(s) > e)."""
+        first = [label for label, at in self.touch.get(self._root(s, e), {}).items() if at <= e]
+        return first[0] if len(first) == 1 else None
 
 
 def saddle_table(l: Landscape) -> SaddleTable:

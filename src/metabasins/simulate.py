@@ -8,12 +8,13 @@ feasible at large beta where the lazy chain would sit still for e^{50+} steps.
 
 One class, ``JumpWalker``, walks both chains on step tables built once per
 model from the kernel's row table (``TransitionModel.rows``), each replica on
-its own buffered uniform stream. ``run_metropolis`` is one lazy walk, and
-``estimate_hitting`` takes its first step by it. ``walk`` jumps until a
-labelling of the states has changed K times and returns the states as an
-ndarray: ``run_until_sigma`` (the metastate map), ``estimate_hitting``
-(targets and competitors) and ``aac_return_frequency``, which holds the whole
-walk (about 1.3M states in c12).
+its own buffered uniform stream, and one scalar loop steps on either table.
+``run_metropolis`` is one lazy walk, and ``estimate_hitting`` takes its first
+step by it. ``walk`` jumps until a labelling of the states has changed K
+times and returns the states as an ndarray: ``run_until_sigma`` (the
+metastate map), ``estimate_hitting`` (targets and competitors) and
+``aac_return_frequency``, which holds the whole walk (about 1.3M states in
+c12).
 
 Driven by its uniforms, the jump chain is a finite-state machine, and a long
 walk runs data-parallel along time (Mytkowicz, Musuvathi & Schulte, ASPLOS
@@ -21,12 +22,12 @@ walk runs data-parallel along time (Mytkowicz, Musuvathi & Schulte, ASPLOS
 has the symbol #(G < u), and a step table M[symbol, state] gives exactly the
 neighbour the scalar rule picks. A walk takes its first ``HEAD_STEPS`` steps
 one at a time (the head), so short walks pay no numpy overhead; the rest of
-it goes in windows of the stream's chunks. Each window is cut into blocks,
-every state is run through every block at once, the block ends are chained
-from the true start, and one gather reads the path. That costs one table
-read per state per step, so a model with more than ``FSM_MAX_STATES`` states
-stays on the scalar rule throughout. The path and the stream position are
-those of repeated ``step`` calls, bit for bit.
+it goes in windows of the stream's next values. Each window is cut into
+blocks, every state is run through every block at once, the block ends are
+chained from the true start, and one gather reads the path. That costs one
+table read per state per step, so a model with more than ``FSM_MAX_STATES``
+states stays on the scalar rule throughout. The path and the stream position
+are those of repeated ``step`` calls, bit for bit.
 
 The path-dependent blocks of a trajectory cut it at the indices whose tail
 never revisits an earlier state. ``path_dependent_mb`` finds them in numpy in
@@ -42,7 +43,7 @@ once and hands its AAC on to ``pd_vs_pid_frequencies``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,17 +111,23 @@ class JumpWalker:
 
     ``JumpWalker(model)`` builds its tables from ``model.rows``: per state r,
     the row's states and r's neighbours with their cumulative lazy and embedded
-    probabilities (each list ends in exactly 1.0), and p(r, r). A state whose
-    exit probability is 0 (no neighbours, or every exit underflowed) has an
-    empty embedded row and no jump targets; ``walk``, ``step`` and ``holding``
-    raise ``NoExitError`` from it, while lazy steps stay there. ``stream(rng)``
-    returns a walker on the same tables with its own stream: an empty buffer
-    refilled from ``rng`` in chunks of 64 values, growing fourfold up to 65536,
-    so short replicas stay cheap. A chunk is kept as the array ``rng`` returns
-    and listed once, on its first scalar read. A step from r takes the next
-    uniform u: a lazy step goes to the first state of r's row whose cumulative
-    value exceeds u, a jump to the first neighbour whose cumulative value
-    reaches u, ``neighbors[r][bisect_left(cums[r], u)]``.
+    probabilities (each list pinned to end in exactly 1.0, and the lazy ones
+    then lowered by one ulp), and p(r, r). A state whose exit probability is
+    0 (no neighbours, or every exit underflowed) has an empty embedded row and
+    no jump targets; ``walk``, ``step`` and ``holding`` raise ``NoExitError``
+    from it, while lazy steps stay there.
+
+    ``stream(rng)`` returns a walker on the same tables with its own stream:
+    an empty buffer refilled from ``rng`` in chunks of 64 values, growing
+    fourfold up to 65536, so short replicas stay cheap. A chunk is drawn into
+    one array behind the unread rest of the last one, and listed once, on its
+    first scalar read; so a window reads the next values across chunk ends.
+    That does not change them: ``rng`` draws one 64-bit value per uniform
+    however it is asked. A step from r takes the next uniform u and goes to
+    the first entry of r's row whose cumulative value reaches u: a jump to
+    ``neighbors[r][bisect_left(cums[r], u)]``. On the lowered lazy rows that
+    is the first state whose pinned cumulative value exceeds u, the literal
+    rule of the lazy chain.
 
     With at most ``FSM_MAX_STATES`` states, the jump chain is also a table
     M[symbol, state], built on the first window and shared by every stream.
@@ -135,7 +142,9 @@ class JumpWalker:
     def __init__(self, model: TransitionModel):
         n = model.n
         self._to = [to.tolist() for to, _ in model.rows]
-        self._lazy = [_pinned(np.cumsum(p)) for _, p in model.rows]
+        # one ulp lower: the first value that reaches u is the first pinned
+        # one that exceeds u, so the jump loop's rule takes the lazy step
+        self._lazy = [np.nextafter(_pinned(np.cumsum(p)), -1.0).tolist() for _, p in model.rows]
         self._neighbors, self._cums = [], []
         self._exit = off_diagonal_row_sums(model.P, range(n)).tolist()
         for r, ((to, p), exit_mass) in enumerate(zip(model.rows, self._exit)):
@@ -182,12 +191,16 @@ class JumpWalker:
         return walker
 
     def _refill(self) -> None:
+        """The unread rest of the current chunk, followed by a fresh chunk
+        drawn in place, becomes the current chunk."""
         if self._rng is None:
             raise ValueError("the walker has no stream; call stream(rng) first")
-        self._arr = self._rng.random(self._chunk)
-        self._buf = None
-        self._end = self._chunk
-        self._pos = 0
+        rest = self._end - self._pos
+        arr = np.empty(rest + self._chunk)
+        if rest:
+            arr[:rest] = self._arr[self._pos:self._end]
+        self._rng.random(out=arr[rest:])
+        self._arr, self._buf, self._pos, self._end = arr, None, 0, len(arr)
         self._chunk = min(self._chunk * 4, 65536)
 
     def _listed(self) -> list[float]:
@@ -206,9 +219,8 @@ class JumpWalker:
     def lazy_walk(self, start: int, steps: int) -> list[int]:
         """``start`` and the states of ``steps`` lazy steps after it."""
         states = [start]
-        for _ in range(steps):
-            r = states[-1]
-            states.append(self._to[r][bisect_right(self._lazy[r], self.uniform())])
+        # no label reaches steps + 1 changes, so the walk runs all its steps
+        self._jumps(states, self._to, self._lazy, range(len(self._to)), steps + 1, steps)
         return states
 
     def walk(self, start: int, label, K: int, max_steps: int = 50_000_000) -> np.ndarray:
@@ -217,21 +229,13 @@ class JumpWalker:
 
         A model with more than ``FSM_MAX_STATES`` states is walked by the
         scalar rule alone. A smaller one takes ``HEAD_STEPS`` scalar steps, so
-        that short walks pay no numpy overhead, then scalar steps up to where
-        a window of at least ``WINDOW_MIN`` values starts, and goes on through
+        that short walks pay no numpy overhead, and goes on through
         ``_windows``."""
         if K < 0:
             raise ValueError("K must be nonnegative")
         states = [start]
-        if K == 0:
-            return np.array(states)
-        if self._fsm is None:
-            changes = self._jumps(states, label, K, 0, max_steps + 1)
-        else:
-            changes = self._jumps(states, label, K, 0, min(HEAD_STEPS, max_steps + 1))
-            if changes < K:
-                changes = self._jumps(states, label, K, changes,
-                                      min(len(states) - 1 + self._to_window(), max_steps + 1))
+        head = max_steps + 1 if self._fsm is None else min(HEAD_STEPS, max_steps + 1)
+        changes = self._jumps(states, self._neighbors, self._cums, label, K, head)
         if len(states) > max_steps + 1:
             raise RuntimeError(f"walk budget of {max_steps} steps exhausted "
                                f"before the {K}-th label change")
@@ -239,24 +243,24 @@ class JumpWalker:
             return np.array(states)
         return self._windows(states, label, K, changes, max_steps)
 
-    def _jumps(self, states: list[int], label, K: int, changes: int, limit: int) -> int:
-        """Scalar steps appended to ``states``, until the K-th label change or
-        until ``limit`` steps in all; returns the number of changes."""
+    def _jumps(self, states: list[int], neighbors, cums, label, K: int, limit: int) -> int:
+        """Steps on the row tables appended to ``states``, until the K-th label
+        change or until ``limit`` steps; returns the number of changes.
+        A step from r goes to the first of ``neighbors[r]`` whose value in
+        ``cums[r]`` reaches the next uniform."""
         # the loop runs for ~e^{beta * gap} steps per valley exit; keep it flat
-        neighbors = self._neighbors
-        cums = self._cums
         append = states.append
         cur = states[-1]
         cur_label = label[cur]
-        steps = len(states) - 1
-        if self._pos >= self._end:
-            self._refill()
-        buf = self._buf or self._listed()
+        changes = steps = 0
         pos = self._pos
         nbuf = self._end
+        # listed only if a value is left: a walk without steps reads nothing
+        buf = self._listed() if pos < nbuf else None
         try:
             while changes < K and steps < limit:
                 if pos >= nbuf:
+                    self._pos = pos
                     self._refill()
                     buf = self._listed()
                     nbuf = self._end
@@ -284,23 +288,20 @@ class JumpWalker:
             self._pos = pos   # the stream goes on from here
         return changes
 
-    def _to_window(self) -> int:
-        """Values of the stream before the first one from which the rest of
-        its chunk holds at least ``WINDOW_MIN`` values: 0, or a chunk end."""
-        head, end, size = 0, self._end - self._pos, self._chunk
-        while end - head < WINDOW_MIN:
-            head = end
-            end += size
-            size = min(size * 4, 65536)
-        return head
+    def _take(self, k: int) -> np.ndarray:
+        """The next ``k`` values of the stream, not yet consumed; the current
+        chunk is refilled until it holds them."""
+        while self._end - self._pos < k:
+            self._refill()
+        return self._arr[self._pos:self._pos + k]
 
     def _windows(self, head: list[int], label, K: int, changes: int, max_steps: int) -> np.ndarray:
         """The walk after its scalar ``head``, which saw ``changes`` label
-        changes, one window of the current chunk at a time; windows grow from
-        ``WINDOW_MIN`` to ``WINDOW_MAX`` steps. A window is cut at the K-th
-        change, at a step from a state without jump targets (``NoExitError``)
-        or at step ``max_steps + 1`` (``RuntimeError``), whichever comes
-        first, and the stream goes on just after the cut."""
+        changes, one window of the next values of the stream at a time;
+        windows grow from ``WINDOW_MIN`` to ``WINDOW_MAX`` steps. A window is
+        cut at the K-th change, at a step from a state without jump targets
+        (``NoExitError``) or at step ``max_steps + 1`` (``RuntimeError``),
+        whichever comes first, and the stream goes on just after the cut."""
         n = self._step_table()[-1] - 1
         # any label will do for the sentinel: a walk stops before stepping to it
         labels = np.asarray(label)
@@ -312,19 +313,14 @@ class JumpWalker:
         budget = max_steps - (len(head) - 1)   # window index of step max_steps + 1
         width = WINDOW_MIN
         while True:
-            if self._pos >= self._end:
-                self._refill()
-            pos = self._pos
-            size = min(width, self._end - pos)
-            width = min(width * 4, WINDOW_MAX)
-            path = self._enumerate(cur, self._arr[pos:pos + size])
+            path = self._enumerate(cur, self._take(width))
             labs = labels[path]
             changed = np.flatnonzero(labs != np.concatenate(([cur_label], labs[:-1])))
-            done = int(changed[need - 1]) if len(changed) >= need else size
-            trap = int(np.argmax(path == n)) if path[-1] == n else size
+            done = int(changed[need - 1]) if len(changed) >= need else width
+            trap = int(np.argmax(path == n)) if path[-1] == n else width
             cut = min(done, trap, budget)
-            if cut < size:
-                self._pos = pos + cut + 1
+            if cut < width:
+                self._pos += cut + 1
                 if cut == trap:
                     raise NoExitError(int(path[trap - 1]) if trap else cur)
                 if cut == budget:
@@ -333,9 +329,10 @@ class JumpWalker:
                 parts.append(path[:cut + 1])
                 return np.concatenate(parts)
             parts.append(path)
-            self._pos = pos + size
+            self._pos += width
             need -= len(changed)
-            budget -= size
+            budget -= width
+            width = min(width * 4, WINDOW_MAX)
             cur = int(path[-1])
             cur_label = labs[-1]
 

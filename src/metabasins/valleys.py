@@ -90,8 +90,7 @@ class _Level:
                              "the saddle table does not belong to the landscape")
         if self.owner[s] >= 0:
             return self.owner[s]
-        touched = self.sweep.touched(s, self.least[s])
-        return touched[0] if len(touched) == 1 else None
+        return self.sweep.attractor(s, self.least[s])
 
 
 def attracted(l: Landscape, table: SaddleTable, M, s: int, m: int) -> bool:

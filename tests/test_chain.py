@@ -5,7 +5,9 @@ import pytest
 
 from metabasins.chain import (
     HittingQuery,
+    LostMoveError,
     build_metropolis,
+    check_moves,
     expected_hitting_time,
     hitting_probability,
     kernel_sandwich_holds,
@@ -165,3 +167,20 @@ def test_invalid_queries():
 def test_build_metropolis_rejects_bad_beta(L6, beta):
     with pytest.raises(ValueError, match="beta must be"):
         build_metropolis(L6.l, beta)
+
+
+def test_check_moves_names_the_first_lost_move(L6, L14, L14X):
+    # no move underflows at beta <= 50 on the canonical landscapes, which
+    # covers every default grid; L6 first loses one at 124.5 and L14 at 90
+    for fx in (L6, L14, L14X):
+        for beta in np.arange(0.5, 50.5, 0.5):
+            check_moves(build_metropolis(fx.l, float(beta)))
+    check_moves(build_metropolis(L6.l, 124.0))
+    for fx, beta, move in ((L6, 124.5, (4, 3)), (L14, 90.0, (10, 11))):
+        model = build_metropolis(fx.l, beta)
+        named = rf"at beta {beta:g} the kernel entry p\({move[0]}, {move[1]}\)"
+        with pytest.raises(LostMoveError, match=named) as lost:
+            check_moves(model)
+        assert lost.value.move == move and lost.value.beta == beta
+        r, s = (fx.l.index_of_label(x) for x in move)
+        assert model.P[r, s] == 0.0 and s in fx.l.neighbors[r]

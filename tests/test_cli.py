@@ -210,6 +210,25 @@ def test_simulate_rejects_unknown_start_label(tmp_path, capsys):
     assert "error: no state with label 99" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["aggregate", "simulate"])
+def test_commands_refuse_a_kernel_that_lost_a_move(tmp_path, capsys, command):
+    # at beta 200 four of L6's ten moves underflow to 0.0; the first, by
+    # state and then neighbour, is 0 -> 1
+    out = tmp_path / "out"
+    assert run([command, "--canonical", "L6", "--beta", "200", "--out", str(out)]) == 2
+    assert "at beta 200 the kernel entry p(0, 1) underflows to 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_refuses_a_beta_grid_that_loses_a_move(tmp_path, capsys, monkeypatch):
+    # the grid 4, 102, 200 reaches L6's lost moves; no criterion runs
+    monkeypatch.setattr(verify.FixtureSet, "build", lambda: pytest.fail("fixtures built"))
+    out = tmp_path / "ver"
+    assert run(["verify", "--only", "aac", "--beta-grid", "4:200:3", "--out", str(out)]) == 2
+    assert "at beta 200 the kernel entry p(0, 1) underflows to 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_each_command_takes_only_the_flags_it_reads():
     source = {"--landscape", "--canonical", "--out"}
     expected = {

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import warnings
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -107,8 +108,8 @@ class ConstantStream:
     def __init__(self, u):
         self.u = u
 
-    def random(self, size):
-        return np.full(size, self.u)
+    def random(self, out):
+        out[:] = self.u
 
 
 def test_lazy_step_at_the_unpinned_row_end_lands_in_the_row(L14X):
@@ -121,6 +122,51 @@ def test_lazy_step_at_the_unpinned_row_end_lands_in_the_row(L14X):
     assert np.searchsorted(np.cumsum(model.P[4]), end, side="right") == model.n
     walker = JumpWalker(model).stream(ConstantStream(end))
     assert walker.lazy_walk(4, 1) == [4, int(to[-1])]
+
+
+def test_lazy_step_at_a_cumulative_value_moves_past_it():
+    # at beta 5 the move 1 -> 0 underflows, so state 1's row (states 0, 1, 2)
+    # starts with an empty entry; a uniform equal to a cumulative value goes
+    # past it, as bisect_right does: 0.0 skips state 0, and the value at
+    # state 1 moves on to state 2
+    model = build_metropolis(Landscape(np.array([1000.0, 0.0, 0.5]), ((1,), (0, 2), (1,))), 5.0)
+    to, p = model.rows[1]
+    cums = np.cumsum(p)
+    assert to.tolist() == [0, 1, 2] and p[0] == 0.0 and 0.0 < cums[1] < 1.0
+    walker = JumpWalker(model)
+    for start, u, after in ((1, 0.0, 1), (1, float(cums[1]), 2), (2, 0.0, 1), (0, 0.0, 0)):
+        assert walker.stream(ConstantStream(u)).lazy_walk(start, 1) == [start, after]
+
+
+def bisect_right_walk(model, start, steps, seed):
+    """Lazy steps by ``bisect_right`` on each kernel row's cumulative values,
+    the last pinned to 1.0: the oracle of ``lazy_walk``, which runs the jump
+    loop on the same rows one ulp lower."""
+    rows = [(to.tolist(), np.cumsum(p)[:-1].tolist() + [1.0]) for to, p in model.rows]
+    states = [start]
+    for u in np.random.default_rng(seed).random(steps).tolist():
+        to, cums = rows[states[-1]]
+        states.append(to[bisect_right(cums, u)])
+    return states
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 40), gen_seed=st.integers(0, 10_000),
+       beta=st.one_of(st.floats(0.05, 12.0), st.floats(300.0, 5000.0)),
+       steps=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_lazy_walk_matches_bisect_right_steps(n, gen_seed, beta, steps, seed, data):
+    # at beta 300 and above, moves underflow and rows hold empty entries
+    model = build_metropolis(gen_random_landscape(n, 4, 0.05, seed=gen_seed), beta)
+    start = data.draw(st.integers(0, n - 1))
+    walker = JumpWalker(model).stream(np.random.default_rng(seed))
+    assert walker.lazy_walk(start, steps) == bisect_right_walk(model, start, steps, seed)
+    assert walker.uniform() == np.random.default_rng(seed).random(steps + 1)[-1]
+
+
+def test_walks_without_steps_need_no_stream(L6):
+    walker = JumpWalker(build_metropolis(L6.l, 1.0))
+    assert walker.lazy_walk(3, 0) == [3]
+    assert walker.walk(3, [0] * 6, 0).tolist() == [3]
 
 
 def test_walker_refuses_a_state_without_exit():
@@ -281,21 +327,25 @@ def test_walk_reaches_a_state_without_exit_after_its_head():
         trapped = assert_walk_is_stepped(walker, seed, 0, 0, [0] * 4, 1, WALK_BUDGET)
         assert trapped == ("no exit", 3)
     steps = stepped_walk(walker.stream(np.random.default_rng(1)), 0, [0, 0, 0, 1], 1, WALK_BUDGET)
-    assert len(steps) > 2368   # past a fresh stream's scalar head (1344) and first window
+    assert len(steps) > 2368   # past the scalar head (1024 steps) and the first window (to 2048)
 
 
 def test_walk_stops_inside_a_window(L14X):
     # c11's walks (beta 10, three metastate changes from label 4) run for
-    # tens of thousands of steps; 5440 values fill a stream's first five
-    # chunks, and after 1400 drawn values the first window starts inside the
-    # 4096-value chunk
+    # tens of thousands of steps. A walk takes 1024 scalar steps, then
+    # windows of 1024, 4096 and 8192 steps from wherever the head stopped.
+    # On a fresh stream they end at steps 2048, 6144 and 14336, and the first
+    # two read across the stream's chunk ends at values 1344 and 5440; after
+    # 1400 drawn values, the second window reads across the latter
     walker = JumpWalker(build_metropolis(L14X.l, 10.0))
     rep = ms_at(L14X, 5).rep_of.tolist()
     for seed, advance in ((0, 0), (6, 1400)):
         states = assert_walk_is_stepped(walker, seed, advance, L14X.l.index_of_label(4), rep, 3,
                                         50_000)
         assert 10_000 < len(states) < 50_000
-    for advance, max_steps in ((0, 5000), (0, 5439), (0, 5440), (1400, 3000)):
+    edges = [(advance, edge + d) for advance in (0, 1400) for edge in (1024, 2048, 6144)
+             for d in (-1, 0, 1)]
+    for advance, max_steps in [(0, 5000), (0, 5439), (0, 5440), (1400, 3000)] + edges:
         result = assert_walk_is_stepped(walker, 2, advance, 0, [0] * L14X.l.n, 1, max_steps)
         assert result == ("budget",)
 

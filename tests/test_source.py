@@ -39,6 +39,13 @@ def test_one_lazy_step_rule():
             if len(call.args) > 1 or any(k.arg == "axis" for k in call.keywords)] == []
 
 
+def test_one_scalar_step_loop():
+    # lazy and jump walks step through JumpWalker._jumps, whose first
+    # value reaching u is bisect_left's pick; bisect_right is not called
+    assert calls("bisect_right") == []
+    assert callers("_jumps") == ["simulate.JumpWalker.lazy_walk", "simulate.JumpWalker.walk"]
+
+
 def test_imports_only_stdlib_and_numpy():
     # numpy is the one declared dependency; scipy may be installed but is not
     allowed = sys.stdlib_module_names | {"numpy", "metabasins"}

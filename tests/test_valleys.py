@@ -73,7 +73,10 @@ def test_swept_connectivity_matches_sublevel_bfs(seed):
             s = int(rng.integers(l.n))
             # energies themselves probe the inclusive end of the sublevel set
             barrier = float(rng.choice(l.energy)) + float(rng.choice([-0.01, 0.0, 0.01]))
-            assert sorted(sweep.touched(s, barrier)) == sorted(_sublevel_touches(l, wall, s, barrier))
+            # the sweep keeps two labels per root: enough to name the one
+            # label bordering s's component, or to say there is not one
+            touches = _sublevel_touches(l, wall, s, barrier)
+            assert sweep.attractor(s, barrier) == (touches.pop() if len(touches) == 1 else None)
 
 
 def test_several_attracting_minima_raise(L6):
