@@ -127,10 +127,11 @@ def outer_boundary(l: Landscape, states) -> frozenset[int]:
 
 
 def _gate(l: Landscape, states) -> int | None:
+    """The least-energy outer-boundary state, the smaller state on a tie."""
     boundary = outer_boundary(l, states)
     if not boundary:
         return None
-    return min(boundary, key=lambda s: l.energy[s])
+    return min(boundary, key=lambda s: (l.energy[s], s))
 
 
 def decompose_all(l: Landscape, f: Filtration, table: SaddleTable) -> list[ValleyDecomposition]:

@@ -252,6 +252,24 @@ def test_exit_gates_l6(L6):
     assert d3.exit_gate == {4: None}
 
 
+def test_gate_breaks_energy_ties_by_state():
+    # one state set, frozen from a list and from a grown set: the two iterate
+    # in different orders, and two boundary states tie at the least energy
+    l = _tied_twin(gen_random_landscape(300, 4, 0.05, 1))
+    states = [10, 44, 50, 60, 65, 66, 71, 85, 88, 89, 93, 103, 117, 120, 139, 150, 154,
+              170, 171, 197, 213, 230, 231, 239, 256, 263, 265, 269, 289]
+    grown = set()
+    for s in states:
+        grown.add(s)
+    listed, copied = frozenset(states), frozenset(grown)
+    assert listed == copied and list(listed) != list(copied)
+    boundary = outer_boundary(l, listed)
+    least = min(l.energy[s] for s in boundary)
+    tied = sorted(s for s in boundary if l.energy[s] == least)
+    assert len(tied) > 1
+    assert _gate(l, listed) == _gate(l, copied) == tied[0]
+
+
 def test_decompose_level_range(L6):
     with pytest.raises(ValueError):
         decompose(L6.l, L6.f, 0, L6.table)
