@@ -48,22 +48,11 @@ def metastate_space(d: ValleyDecomposition, f: Filtration) -> MetastateSpace:
     ``metastate_space(d, f)``.
     """
     i = d.level
-    valley_of: dict[int, frozenset[int]] = {}
-    gate_of: dict[int, int] = {}
-    valley_level: dict[int, int] = {}
-    for m, members in d.valley.items():
-        valley_of[m] = members
-        valley_level[m] = i
-        if d.exit_gate[m] is not None:
-            gate_of[m] = d.exit_gate[m]
-    for m, (own_level, members, gate) in d.pending.items():
-        valley_of[m] = members
-        valley_level[m] = own_level
-        if gate is not None:
-            gate_of[m] = gate
-    for s in d.nonassigned:
-        valley_of[s] = frozenset([s])
-        valley_level[s] = i
+    valley_of = d.assigned_valleys()
+    valley_of.update((s, frozenset((s,))) for s in d.nonassigned)
+    valley_level = {m: d.pending[m][0] if m in d.pending else i for m in valley_of}
+    gates = {**d.exit_gate, **{m: g for m, (_, _, g) in d.pending.items()}}
+    gate_of = {m: g for m, g in gates.items() if g is not None}
     metastates = tuple(sorted(valley_of))
     n = max(max(v) for v in valley_of.values()) + 1
     rep = np.full(n, -1, dtype=int)

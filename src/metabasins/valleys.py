@@ -1,11 +1,13 @@
 """Strict basins, attraction, recursive valleys and the valley tree.
 
-Level 1 assigns to each local minimum the states attracted to it; what
-remains is non-assigned. Each later level merges the previous valley of every
-surviving minimum with the newly attracted non-assigned states and with the
-whole valleys of deleted minima whose bottom becomes attracted at this level.
-Valleys are only ever merged, never split, and at each level they are
-pairwise disjoint and connected.
+The levels form a sequence of partitions of the states in which parts only
+merge. A part is the valley of a metastable bottom, the pending valley of a
+deleted bottom that nothing has attracted yet, or a non-assigned state alone.
+Level 1 gives each local minimum the states attracted to it. Each later level
+moves every attracted non-assigned state, and the pending valley of every
+attracted deleted bottom, into the valley of its attractor; every other part
+is carried over as it is. At each level the valleys are pairwise disjoint and
+connected.
 
 A state s is attracted by m when m realizes the least saddle energy from s
 and every minimal path to an equally cheap competitor passes through the
@@ -135,47 +137,53 @@ def _gate(l: Landscape, states) -> int | None:
 
 
 def decompose_all(l: Landscape, f: Filtration, table: SaddleTable) -> list[ValleyDecomposition]:
-    """All levels 1..nlevels, in order (each level consumes the previous one)."""
-    levels: list[ValleyDecomposition] = []
-    order = f.deletion_order
-    # level 1 starts with every state non-assigned; each bottom attracts itself
-    valley = {m: frozenset() for m in f.M(1)}
-    nonassigned = frozenset(range(l.n))
-    gates, attracted_at = {}, {}
+    """All levels 1..nlevels, in order, carried as one partition of the states.
+
+    Each part is named by its metastable or pending bottom, or by its one
+    non-assigned state. Level i asks only about the parts not named by a state
+    of M(i), in increasing order of name, moves each attracted part into its
+    attractor's part, and refreezes and regates only the parts that grew. So
+    a valley that attracted nothing is the same object at consecutive levels,
+    and a pending valley is the object its valley was at its own level.
+    """
+    rank = {m: j for j, m in enumerate(f.deletion_order, 1)}
+    part = {s: frozenset((s,)) for s in range(l.n)}
+    gate: dict[int, int | None] = {}
+    own: dict[int, int] = {}            # minimum -> last level at which it is metastable
+    nonassigned = frozenset(range(l.n)) - f.M(1)
+    attracted_at: dict[int, tuple[int, int]] = {}
     merge_level = {j: math.inf for j in range(1, f.levels + 1)}
-    pending: dict[int, tuple[int, frozenset[int], int | None]] = {}
+    levels: list[ValleyDecomposition] = []
     for i in range(1, f.levels + 1):
         level = _Level(l, table, f.M(i))
-        for dropped in [m for m in valley if m not in level.M]:  # deleted entering level i
-            pending[dropped] = (i - 1, valley[dropped], gates[dropped])
-        grown = {m: set(valley[m]) for m in level.M}
-        for s in sorted(nonassigned):
+        # at level 1 every bottom's valley is new, whether it attracts or not
+        grown: dict[int, list[int]] = {m: [] for m in level.M} if i == 1 else {}
+        taken = []                      # non-assigned states attracted at level i
+        for s in sorted(part.keys() - level.M):
             t = level.target(s)
-            if t is not None:
-                grown[t].add(s)
-                if t != s:
-                    attracted_at[s] = (t, i)
-        for p in sorted(pending):
-            t = level.target(p)
-            if t is not None:
-                grown[t].update(pending.pop(p)[1])
-                attracted_at[p] = (t, i)
-                merge_level[order.index(p) + 1] = i
-        valley = {m: frozenset(v) for m, v in grown.items()}
-        assigned = set().union(*valley.values()) if valley else set()
-        for _, states, _ in pending.values():
-            assigned.update(states)
-        nonassigned = frozenset(range(l.n)) - assigned
-        gates = {m: _gate(l, members) for m, members in valley.items()}
+            if t is None:
+                continue
+            grown.setdefault(t, []).append(s)
+            attracted_at[s] = (t, i)
+            if s in own:
+                merge_level[rank[s]] = i
+            else:
+                taken.append(s)
+        for t, names in grown.items():
+            part[t] = part[t].union(*[part.pop(s) for s in names])
+            gate[t] = _gate(l, part[t])
+        if taken:
+            nonassigned = nonassigned.difference(taken)
+        own.update(dict.fromkeys(level.M, i))
         levels.append(ValleyDecomposition(
             level=i,
             strict=level.strict,
-            valley=valley,
+            valley={m: part[m] for m in level.M},
             nonassigned=nonassigned,
             attracted_at=dict(attracted_at),
             merge_level=dict(merge_level),
-            exit_gate=gates,
-            pending=dict(pending),
+            exit_gate={m: gate[m] for m in level.M},
+            pending={p: (lv, part[p], gate[p]) for p, lv in own.items() if lv < i and p in part},
         ))
     return levels
 

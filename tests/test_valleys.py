@@ -231,6 +231,42 @@ def test_decompose_all_builds_at_most_one_sweep_per_level(L6, L14, L14X, monkeyp
         assert 0 < len(built) <= fx.f.levels
 
 
+def _grown_at(d):
+    """(attractor, level) of every attraction up to d's level."""
+    return set(d.attracted_at.values())
+
+
+def test_decompose_all_carries_unchanged_valleys_over(L6, L14, L14X):
+    for l in _decomposition_inputs(L6, L14, L14X):
+        decomps = decompose_all(l, scoppola_filtration(l), saddle_table(l))
+        grown = _grown_at(decomps[-1])
+        for prev, d in zip(decomps, decomps[1:]):
+            for m, members in d.valley.items():
+                if (m, d.level) not in grown:
+                    assert members is prev.valley[m]
+                    assert d.exit_gate[m] == prev.exit_gate[m]
+        for d in decomps:
+            for p, (own, members, gate) in d.pending.items():
+                assert members is decomps[own - 1].valley[p]
+                assert gate == decomps[own - 1].exit_gate[p]
+
+
+def test_decompose_all_gates_only_grown_valleys(L6, L14, L14X, monkeypatch):
+    calls = []
+
+    def counting_gate(l, states):
+        calls.append(states)
+        return _gate(l, states)
+
+    monkeypatch.setattr(valleys, "_gate", counting_gate)
+    for l in _decomposition_inputs(L6, L14, L14X):
+        f = scoppola_filtration(l)
+        calls.clear()
+        decomps = decompose_all(l, f, saddle_table(l))
+        later = {(m, i) for m, i in _grown_at(decomps[-1]) if i >= 2}
+        assert len(calls) == len(f.M(1)) + len(later)
+
+
 def test_decompose_l6_levels(L6):
     d1, d2, d3 = L6.decomps
     assert d1.valley == {0: frozenset({0}), 2: frozenset({2}), 4: frozenset({4, 5})}
