@@ -287,9 +287,18 @@ def cmd_report(args) -> int:
     for path in sorted(curves_dir.glob("*.csv")):
         xs, ys = [], []
         with open(path) as fh:
-            for row in csv.DictReader(fh):
-                xs.append(float(row["x"]))
-                ys.append(float(row["y"]))
+            reader = csv.DictReader(fh)
+            if not {"x", "y"} <= set(reader.fieldnames or ()):
+                raise ValueError(f"{path}: the header has no x and y columns")
+            for row in reader:
+                try:
+                    x, y = float(row["x"]), float(row["y"])   # a short row gives None
+                except (TypeError, ValueError):
+                    x = y = math.nan
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError(f"{path}: line {reader.line_num} is not two finite numbers")
+                xs.append(x)
+                ys.append(y)
         svg = _svg.line_chart({path.stem: (xs, ys)}, title=path.stem)
         (plots / f"{path.stem}.svg").write_text(svg)
         made += 1

@@ -172,6 +172,17 @@ def test_report_without_curves(tmp_path, capsys):
     assert run(["report", "--out", str(tmp_path / "empty")]) == 2
 
 
+@pytest.mark.parametrize("body", ["a,y\n1,2\n", "x,y\n1,2\n3\n", "x,y\n1,inf\n"],
+                         ids=["no-x-column", "one-value", "inf"])
+def test_report_rejects_a_malformed_curve(tmp_path, capsys, body):
+    curve = tmp_path / "rep" / "curves" / "bad.csv"
+    curve.parent.mkdir(parents=True)
+    curve.write_text(body)
+    assert run(["report", "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(curve) in err[0]
+
+
 def test_verify_report_byte_stable(tmp_path):
     out1, out2 = tmp_path / "v1", tmp_path / "v2"
     for out in (out1, out2):
