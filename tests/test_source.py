@@ -114,7 +114,7 @@ def test_defaults_only_where_callers_differ():
                  for name, tree in TREES.items() if name != "reference.py"
                  for scope, fn in scopes(tree) for arg in with_default(fn.args)]
     assert sorted(defaulted) == [
-        "analysis.epsilon_bound(model)", "cli.main(argv)", "saddles.Sweep.__init__(wall)",
+        "cli.main(argv)", "saddles.Sweep.__init__(wall)",
         "saddles.sublevel_connected(avoid)", "saddles.uphill_downhill_path(avoid)",
         "saddles.uphill_downhill_path(table)", "simulate.JumpWalker.walk(max_steps)",
         "verify._random_instances(seed0)", "verify.c6_exit_time_slope(beta_grid)",
