@@ -1,13 +1,11 @@
 """Strict basins, attraction, recursive valleys and the valley tree.
 
-The levels form a sequence of partitions of the states in which parts only
-merge. A part is the valley of a metastable bottom, the pending valley of a
-deleted bottom that nothing has attracted yet, or a non-assigned state alone.
-Level 1 gives each local minimum the states attracted to it. Each later level
-moves every attracted non-assigned state, and the pending valley of every
-attracted deleted bottom, into the valley of its attractor; every other part
-is carried over as it is. At each level the valleys are pairwise disjoint and
-connected.
+Level 1 gives each local minimum the states attracted to it; the rest are
+non-assigned. The levels form one partition of the states whose parts only
+merge: a part is a metastable valley, the pending valley of a deleted bottom
+not yet attracted, or a non-assigned state alone. Each later level moves every
+attracted part into its attractor's valley and carries the others over as they
+are. At each level the valleys are pairwise disjoint and connected.
 
 A state s is attracted by m when m realizes the least saddle energy from s
 and every minimal path to an equally cheap competitor passes through the
@@ -139,17 +137,14 @@ def _gate(l: Landscape, states) -> int | None:
 def decompose_all(l: Landscape, f: Filtration, table: SaddleTable) -> list[ValleyDecomposition]:
     """All levels 1..nlevels, in order, carried as one partition of the states.
 
-    Each part is named by its metastable or pending bottom, or by its one
-    non-assigned state. Level i asks only about the parts not named by a state
-    of M(i), in increasing order of name, moves each attracted part into its
-    attractor's part, and refreezes and regates only the parts that grew. So
-    a valley that attracted nothing is the same object at consecutive levels,
-    and a pending valley is the object its valley was at its own level.
+    A part is named by its metastable or pending bottom, or by its one
+    non-assigned state. Level i asks only about the parts not named by M(i),
+    in increasing order, and refreezes and regates only the parts that grew.
     """
-    rank = {m: j for j, m in enumerate(f.deletion_order, 1)}
     part = {s: frozenset((s,)) for s in range(l.n)}
     gate: dict[int, int | None] = {}
-    own: dict[int, int] = {}            # minimum -> last level at which it is metastable
+    # minimum -> last level at which it is metastable, j for m^(j)
+    own: dict[int, int] = {}
     nonassigned = frozenset(range(l.n)) - f.M(1)
     attracted_at: dict[int, tuple[int, int]] = {}
     merge_level = {j: math.inf for j in range(1, f.levels + 1)}
@@ -161,14 +156,13 @@ def decompose_all(l: Landscape, f: Filtration, table: SaddleTable) -> list[Valle
         taken = []                      # non-assigned states attracted at level i
         for s in sorted(part.keys() - level.M):
             t = level.target(s)
-            if t is None:
-                continue
-            grown.setdefault(t, []).append(s)
-            attracted_at[s] = (t, i)
-            if s in own:
-                merge_level[rank[s]] = i
-            else:
-                taken.append(s)
+            if t is not None:
+                grown.setdefault(t, []).append(s)
+                attracted_at[s] = (t, i)
+                if s in own:
+                    merge_level[own[s]] = i
+                else:
+                    taken.append(s)
         for t, names in grown.items():
             part[t] = part[t].union(*[part.pop(s) for s in names])
             gate[t] = _gate(l, part[t])
