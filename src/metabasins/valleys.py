@@ -14,10 +14,10 @@ of the saddle-level sublevel set with every strict basin walled off: which
 basins it borders (proof in ``_Level.target``). The path clause is validated
 against literal path enumeration in the tests.
 
-Per level, strict basins and the least-saddle clause come from the saddle
-table's columns at M in one pass (row minimum, runner-up, argmin). If the
-level has a tied state, one saddle sweep (``saddles.Sweep``) with the level's
-strict basins as labelled walls answers every tie at once.
+Each level's metastable set is the next one's plus one bottom, so one backward
+pass over the deletion order reads one saddle-table column per level for its
+strict basins and least saddle energies. One saddle sweep (``saddles.Sweep``)
+with a level's strict basins as labelled walls answers all its ties at once.
 """
 
 from __future__ import annotations
@@ -48,25 +48,37 @@ def strict_basin(l: Landscape, table: SaddleTable, M, m: int) -> frozenset[int]:
     return frozenset(out)
 
 
-class _Level:
-    """Strict basins and attraction among one metastable set M."""
+def _suffixes(l: Landscape, table: SaddleTable, order) -> list[tuple]:
+    """(owner, least, strict) of each metastable set order[c:], first set first.
 
-    def __init__(self, l: Landscape, table: SaddleTable, M):
-        self.M = frozenset(M)
-        cols = sorted(self.M)
-        E = table.energy[:, cols]
-        least = E.min(axis=1)
-        if len(cols) > 1:
-            unique = least < np.partition(E, 1, axis=1)[:, 1]
-        else:
-            unique = np.ones(l.n, dtype=bool)
-        # the bottom whose strict basin holds each state, -1 for a tied state
-        owner = np.where(unique, np.array(cols)[np.argmin(E, axis=1)], -1)
-        owner[cols] = cols
-        self.owner, self.least, self.energy = owner.tolist(), least.tolist(), l.energy.tolist()
+    Read backwards, each set adds one bottom, so each reads one table column,
+    and a strict basin is frozen again only when it changes. ``owner`` is -1
+    for a tied state. The bottoms are local minima, so each owns itself: its
+    saddle to any other state lies strictly above it.
+    """
+    least = np.full(l.n, math.inf)
+    owner = np.full(l.n, -1)
+    strict: dict[int, frozenset[int]] = {}
+    out = []
+    for m in reversed(order):
+        e = table.energy[:, m]
+        changed = {m, *owner[e <= least].tolist()} - {-1}
+        owner = np.where(e < least, m, np.where(e == least, -1, owner))
+        least = np.minimum(e, least)
         # a basin is filled with its bottom first and then in increasing state
         # order, so that it iterates as ``strict_basin``'s (bound sums run over it)
-        self.strict = {m: frozenset({m, *np.flatnonzero(owner == m).tolist()}) for m in self.M}
+        strict = strict | {b: frozenset({b, *np.flatnonzero(owner == b).tolist()}) for b in changed}
+        out.append((owner, least, strict))
+    return out[::-1]
+
+
+class _Level:
+    """Strict basins and attraction among one metastable set M, from its ``_suffixes`` row."""
+
+    def __init__(self, l: Landscape, M, owner: np.ndarray, least: np.ndarray, strict: dict):
+        self.M = frozenset(M)
+        self.owner, self.least, self.energy = owner.tolist(), least.tolist(), l.energy.tolist()
+        self.strict = strict
         self.sweep = Sweep(l, self.owner) if (owner < 0).any() else None
 
     def target(self, s: int) -> int | None:
@@ -97,7 +109,7 @@ def attracted(l: Landscape, table: SaddleTable, M, s: int, m: int) -> bool:
     """Is s attracted by m among the metastable set M?"""
     if m not in M:
         raise ValueError("m is not metastable at this level")
-    return _Level(l, table, M).target(s) == m
+    return _Level(l, M, *_suffixes(l, table, sorted(M))[0]).target(s) == m
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +161,8 @@ def decompose_all(l: Landscape, f: Filtration, table: SaddleTable) -> list[Valle
     attracted_at: dict[int, tuple[int, int]] = {}
     merge_level = {j: math.inf for j in range(1, f.levels + 1)}
     levels: list[ValleyDecomposition] = []
-    for i in range(1, f.levels + 1):
-        level = _Level(l, table, f.M(i))
+    for i, row in enumerate(_suffixes(l, table, f.deletion_order), start=1):
+        level = _Level(l, f.M(i), *row)
         # at level 1 every bottom's valley is new, whether it attracts or not
         grown: dict[int, list[int]] = {m: [] for m in level.M} if i == 1 else {}
         taken = []                      # non-assigned states attracted at level i

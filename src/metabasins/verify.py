@@ -22,11 +22,12 @@ from .aggregation import (
     reciprocating_order_test,
     transition_exponents,
 )
-from .chain import HittingQuery, build_metropolis, hitting_probability, expected_hitting_time
+from .chain import (HittingQuery, build_metropolis, expected_hitting_time, hitting_probability,
+                    restricted_hitting_probability)
 from .filtration import scoppola_filtration
 from .landscape import Landscape, gen_random_landscape, reachable
-from .saddles import saddle_table
-from .valleys import decompose_all, outer_boundary
+from .saddles import essential_saddle, saddle_table
+from .valleys import attracted, decompose_all, outer_boundary
 from .verifydata import FixtureSet
 
 
@@ -68,8 +69,6 @@ def _tv(p: dict, q: dict) -> float:
 # --- criterion 1: saddle oracle equivalence -------------------------------
 
 def c1_saddle_oracle(fx: FixtureSet) -> CriterionResult:
-    from .saddles import essential_saddle
-
     mismatches = 0
     checked = 0
     ultra_ok = True
@@ -126,8 +125,6 @@ def c2_valley_oracle(fx: FixtureSet) -> CriterionResult:
 
 
 def _valley_invariants(l, f, table, decomps) -> str | None:
-    from .valleys import attracted
-
     for d in decomps:
         assigned = d.assigned_valleys()
         cover: set[int] = set()
@@ -229,7 +226,7 @@ def c4_exact_identities(fx: FixtureSet) -> CriterionResult:
             for i in range(1, len(path))
         ]
         formula = 1.0 / sum(terms)
-        exact = _restricted_hit(model, path)
+        exact = restricted_hitting_probability(model, path, path[0], path[-1], path[0])
         worst_path = max(worst_path, abs(formula - exact))
     worst_split = 0.0
     for k in range(50):
@@ -245,11 +242,6 @@ def c4_exact_identities(fx: FixtureSet) -> CriterionResult:
     return CriterionResult("exact-identities", passed, {
         "one_dimensional_residual": worst_path, "splitting_residual": worst_split,
     })
-
-
-def _restricted_hit(model, path):
-    from .chain import restricted_hitting_probability
-    return restricted_hitting_probability(model, path, path[0], path[-1], path[0])
 
 
 # --- criterion 5: drift bounds dominate ------------------------------------
@@ -472,16 +464,12 @@ def c11_pd_vs_pid(fx: FixtureSet) -> CriterionResult:
         dom_ok &= freq_c >= bc
     # Monte-Carlo against the exact finite-beta laws, 3 sigma plus 2/reps slack
     mc_ok = True
-    exact_y1 = exact_jump_distribution(model, ms, start)
-    for m in set(exact_y1) | set(y1_counts):
-        p = exact_y1.get(m, 0.0)
-        f = y1_counts.get(m, 0) / reps
-        mc_ok &= abs(f - p) <= 3 * math.sqrt(max(p * (1 - p), 1e-12) / reps) + 2.0 / reps
-    exact_entry = exact_valley_transition(model, ms, start)
-    for m in set(exact_entry) | set(entry_counts):
-        p = exact_entry.get(m, 0.0)
-        f = entry_counts.get(m, 0) / reps
-        mc_ok &= abs(f - p) <= 3 * math.sqrt(max(p * (1 - p), 1e-12) / reps) + 2.0 / reps
+    for exact, counts in ((exact_jump_distribution(model, ms, start), y1_counts),
+                          (exact_valley_transition(model, ms, start), entry_counts)):
+        for m in set(exact) | set(counts):
+            p = exact.get(m, 0.0)
+            f = counts.get(m, 0) / reps
+            mc_ok &= abs(f - p) <= 3 * math.sqrt(max(p * (1 - p), 1e-12) / reps) + 2.0 / reps
     passed = dom_ok and mc_ok
     return CriterionResult("pd-vs-pid", passed, {
         "mb_level": report.level, "eta": bounds.eta,

@@ -102,6 +102,14 @@ def test_merge_forest_built_only_for_saddles_and_ties():
                                 "valleys._Level.__init__"]
 
 
+def test_level_reads_one_column_per_set():
+    # each metastable set is the next one plus one bottom: one backward pass
+    # over a deletion order reads one saddle-table column per set, and no
+    # level sorts a block of columns
+    assert calls("partition") == []
+    assert callers("_suffixes") == ["valleys.attracted", "valleys.decompose_all"]
+
+
 def test_defaults_only_where_callers_differ():
     # a parameter keeps a default only where callers pass different values;
     # reference.py, the tests' oracles, is not counted

@@ -8,9 +8,10 @@ from metabasins.filtration import scoppola_filtration
 from metabasins.landscape import Landscape, gen_random_landscape, reachable
 from metabasins.reference import decompose
 from metabasins.saddles import SaddleTable, Sweep, saddle_table
+from metabasins.filtration import local_minima
 from metabasins.valleys import (
-    _Level,
     _gate,
+    _suffixes,
     attracted,
     build_tree,
     connectivity_params,
@@ -43,12 +44,20 @@ def test_attracted_l6(L6):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_vectorised_strict_basins_match_per_state_loop(seed):
-    l = gen_random_landscape(10 + 4 * seed, 4, 0.05, seed=9200 + seed)
-    f = scoppola_filtration(l)
-    table = saddle_table(l)
-    for i in range(1, f.levels + 1):
-        M = f.M(i)
-        assert _Level(l, table, M).strict == {m: strict_basin(l, table, M, m) for m in M}
+    base = gen_random_landscape(10 + 4 * seed, 4, 0.05, seed=9200 + seed)
+    for l in (base, _tied_twin(base, 1)):
+        f = scoppola_filtration(l)
+        table = saddle_table(l)
+        rows = _suffixes(l, table, f.deletion_order)
+        assert len(rows) == f.levels
+        for i, (owner, least, strict) in enumerate(rows, start=1):
+            M = f.M(i)
+            assert strict == {m: strict_basin(l, table, M, m) for m in M}
+            for s in range(l.n):
+                row = {m: table.energy[s, m] for m in M}
+                assert least[s] == min(row.values())
+                tied = [m for m in M if row[m] == least[s]]
+                assert owner[s] == (tied[0] if len(tied) == 1 else -1)
 
 
 def _sublevel_touches(l, wall, s, barrier):
@@ -97,13 +106,17 @@ def _tied_twin(l, decimals=0):
 @pytest.mark.parametrize("seed", range(20))
 def test_attracted_matches_path_enumeration(seed):
     base = gen_random_landscape(4 + seed % 7, 3, 0.05, seed=7300 + seed)
+    rng = np.random.default_rng(seed)
     compared = 0
     for l in (base, _tied_twin(base, 1)):
         f = scoppola_filtration(l)
         table = saddle_table(l)
         cache = reference.PathCache(l)
-        for i in range(1, f.levels + 1):
-            M = f.M(i)
+        # the filtration's levels, and subsets of the minima that are not levels
+        minima = sorted(local_minima(l))
+        subsets = [frozenset(rng.choice(minima, size=int(rng.integers(1, len(minima) + 1)),
+                                        replace=False).tolist()) for _ in range(4)]
+        for M in [f.M(i) for i in range(1, f.levels + 1)] + subsets:
             strict = {m: reference.strict_basin_oracle(cache, M, m) for m in M}
             for s in range(l.n):
                 for m in M:
@@ -156,7 +169,7 @@ def _per_triple_decompose(l, f, table):
     order = f.deletion_order
     for i in range(1, f.levels + 1):
         M = f.M(i)
-        strict = _Level(l, table, M).strict
+        strict = {m: strict_basin(l, table, M, m) for m in M}
         if i == 1:
             valley = {m: {m} for m in M}
             attracted_at, pending = {}, {}
@@ -212,9 +225,21 @@ def test_decompose_all_matches_the_per_triple_rule(L6, L14, L14X):
                 w.level, w.strict, w.valley, w.nonassigned)
             assert (d.attracted_at, d.merge_level, d.exit_gate, d.pending) == (
                 w.attracted_at, w.merge_level, w.exit_gate, w.pending)
-        tied_levels += sum(_Level(l, table, f.M(i)).sweep is not None
-                           for i in range(1, f.levels + 1))
+        tied_levels += sum((owner < 0).any()
+                           for owner, _, _ in _suffixes(l, table, f.deletion_order))
     assert tied_levels > 100
+
+
+def test_decompose_all_shares_unchanged_strict_basins(L6, L14, L14X):
+    # a strict basin is frozen again only at a level that changes it
+    shared = 0
+    for l in _decomposition_inputs(L6, L14, L14X):
+        decomps = decompose_all(l, scoppola_filtration(l), saddle_table(l))
+        for prev, d in zip(decomps, decomps[1:]):
+            for m, basin in d.strict.items():
+                assert (basin is prev.strict[m]) == (basin == prev.strict[m])
+                shared += basin is prev.strict[m]
+    assert shared > 10000
 
 
 def test_decompose_all_builds_at_most_one_sweep_per_level(L6, L14, L14X, monkeypatch):
