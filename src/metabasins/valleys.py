@@ -16,8 +16,8 @@ against literal path enumeration in the tests.
 
 Each level's metastable set is the next one's plus one bottom, so one backward
 pass over the deletion order reads one saddle-table column per level for its
-strict basins and least saddle energies. One saddle sweep (``saddles.Sweep``)
-with a level's strict basins as labelled walls answers all its ties at once.
+strict basins and least saddle energies. A level with a tied state builds one
+saddle sweep (``saddles.Sweep``), its strict basins as walls, for all its ties.
 """
 
 from __future__ import annotations
