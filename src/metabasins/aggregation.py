@@ -223,16 +223,39 @@ class ExponentMatrix:
     reachable: np.ndarray
 
 
+def _checked_reaches(reach, m: int, gate, nonassigned, valley_of):
+    """Down(m) and Up(gate): the strictly rising reaches of m and of its gate.
+
+    On a valley decomposition the gate is non-assigned, Down(m) lies in V(m)
+    and the non-assigned set, and Up(gate) in the non-assigned set. A search
+    confined to those states refuses the first state outside them on every
+    rising path, so it reaches the same set as ``reach`` exactly when these
+    checks pass. Each failure raises ``ValueError`` naming the valleys met.
+    """
+    if gate not in nonassigned:
+        raise ValueError(f"valley {m} has no non-assigned exit gate (gate {gate}); "
+                         "its exponents are undefined at this level")
+    down, up = reach(m), reach(gate)
+    for outside, what in ((down - valley_of[m] - nonassigned, f"the falling set of {m} meets"),
+                          (up - nonassigned, f"the gate of {m} rises into")):
+        if outside:
+            met = sorted(t for t, v in valley_of.items() if not v.isdisjoint(outside))
+            raise ValueError(f"{what} the valleys of {met}; "
+                             "the metastate space is not a valley decomposition")
+    return down, up
+
+
 def escape_exponents(l: Landscape, ms: MetastateSpace, table: SaddleTable):
-    """The valley metastates and k x k arrays D and udh: all a metabasin scan reads.
+    """The valley metastates and k x k arrays D and udh of one level.
 
     D(m, m') = E(z*(m, m')) - E(g) for the gate g of m (-inf on the diagonal);
     udh(m, m') flags a path from g strictly rising to z = z*(g, m') and then
     strictly falling into V(m') outside the other valleys. Cost O(k n): one
-    strictly rising search per target m' gives, read backwards, Down(m') (the
-    states falling strictly to m' outside the other valleys), one per gate over
-    the non-assigned states gives Up(g), g included; udh(m, m') iff z is in
-    both, since a rising leg from g never enters a valley (see below).
+    ``rising_reach`` per bottom m' gives, read backwards, Down(m') (the states
+    falling strictly to m'), one per gate gives Up(g), g included; once
+    ``_checked_reaches`` has found them where a valley decomposition keeps
+    them, udh(m, m') iff z is in both. ``aggregate`` and the tests read one
+    level here; ``find_metabasins`` keeps the same rows across levels.
     """
     # Lemma: at every level a non-assigned state v lies strictly above each
     # neighbour u in a valley. If u is a local minimum this is its definition.
@@ -250,27 +273,26 @@ def escape_exponents(l: Landscape, ms: MetastateSpace, table: SaddleTable):
     #   from v to any x in T(v) below L(v) meets S at some s, where
     #   E(z*(s, t)) < E(z*(s, x)) <= L(v): t is in T(v), and v wins.
     # Either way v was attracted at level j, a contradiction. The gate is
-    # non-assigned (checked below), so on a valley decomposition its search
-    # refuses nothing; a refusal means ``ms`` is not one, and the rule above
-    # would not hold.
+    # non-assigned (checked), so on a valley decomposition Up(g) stays in the
+    # non-assigned set; a reach that leaves it means ``ms`` is not one. By the
+    # lemma a strictly falling path never steps from a valley to a
+    # non-assigned state, so Down(m') meets another valley only where two
+    # valleys border each other. That they never do is not proved here, so
+    # Down(m') is checked too.
     mlist = ms.valley_metastates
     gates = [ms.gate_of.get(m) for m in mlist]
     energy = l.energy.tolist()
-    # the valley metastate owning each state, -1 for a non-assigned state
-    vrep = [-1 if s in ms.nonassigned else r for s, r in enumerate(ms.rep_of.tolist())]
+
+    def reach(s):
+        return rising_reach(l.neighbors, energy, s)
+
     # flat positions a * n + s of the true entries of the k x n masks Down and Up
     down_at, up_at = [], []
     for a, (m, gate) in enumerate(zip(mlist, gates)):
-        if gate not in ms.nonassigned:
-            raise ValueError(f"valley {m} has no non-assigned exit gate (gate {gate}); "
-                             "its exponents are undefined at this level")
+        down, up = _checked_reaches(reach, m, gate, ms.nonassigned, ms.valley_of)
         base = a * l.n
-        down_at += [base + s for s in rising_reach(l.neighbors, energy, m, vrep, (-1, m))[0]]
-        reached, entered = rising_reach(l.neighbors, energy, gate, vrep, (-1,))
-        if entered:
-            raise ValueError(f"the gate of {m} rises into the valleys of {sorted(entered)}; "
-                             "the metastate space is not a valley decomposition")
-        up_at += [base + s for s in reached]
+        down_at += [base + s for s in down]
+        up_at += [base + s for s in up]
     down, up = np.zeros((2, len(mlist), l.n), dtype=bool)
     down.flat[down_at] = True
     up.flat[up_at] = True
@@ -377,6 +399,67 @@ class MBReport:
     scan: tuple[tuple[int, bool, bool], ...]   # (level, mb1 ok, mb2 ok)
 
 
+def _scan(l: Landscape, f: Filtration, decomps: list[ValleyDecomposition],
+          table: SaddleTable):
+    """(level, margins, witnesses) of each level the metabasin scan reads.
+
+    The MB1 margin of a valley metastate m is the row max of
+    ``escape_exponents``' D and its MB2 witnesses are the targets m' with
+    udh(m, m'), in order. Both depend only on m's gate and on the valley
+    metastates, which only shrink from level to level in ``decompose_all``'s
+    decompositions. So a row is recomputed only when its gate changed or the
+    column holding its max left; otherwise the columns that left are dropped
+    from its witnesses. Rounding is monotone, so fl(max a - c) = max fl(a - c)
+    and a margin is bit-identical to D's row max.
+
+    A rising reach depends on its start state alone: one search per local
+    minimum and per distinct gate serves every level. The checks of
+    ``_checked_reaches`` run where a level can break them: on every row at
+    level 1, on a row whose gate changed, and on a row whose Down or Up set
+    holds a state taken out of the non-assigned set.
+    """
+    energy = l.energy.tolist()
+    reaches: dict[int, set[int]] = {}
+    holders: dict[int, list[int]] = {}   # state -> the searched starts whose reach holds it
+
+    def reach(s):
+        if s not in reaches:
+            reaches[s] = rising_reach(l.neighbors, energy, s)
+            for x in reaches[s]:
+                holders.setdefault(x, []).append(s)
+        return reaches[s]
+
+    rows = {}   # valley metastate -> (gate, margin, column of the max, witnesses)
+    nonassigned = frozenset()
+    for i in range(1, f.levels - 1):
+        d = decomps[i - 1]
+        valley_of = d.assigned_valleys()
+        gates = {**d.exit_gate, **{m: g for m, (_, _, g) in d.pending.items()}}
+        mlist = sorted(valley_of)
+        left = rows.keys() - valley_of
+        taken, nonassigned = nonassigned - d.nonassigned, d.nonassigned
+        touched = {x for s in taken for x in holders.get(s, ())}
+        targets = np.array(mlist)
+        for m in mlist:
+            gate, row = gates[m], rows.get(m)
+            fresh = row is None or row[0] != gate
+            if fresh or m in touched or gate in touched:
+                _checked_reaches(reach, m, gate, nonassigned, valley_of)
+            if fresh or row[2] in left:
+                others = targets[targets != m]
+                e = table.energy[m, others]
+                j = int(e.argmax())
+                up, z = reach(gate), table.state[gate, others].tolist()
+                rows[m] = (gate, float(e[j] - energy[gate]), int(others[j]),
+                           tuple(t for t, s in zip(others.tolist(), z)
+                                 if s in up and s in reach(t)))
+            elif not left.isdisjoint(row[3]):
+                rows[m] = row[:3] + (tuple(t for t in row[3] if t not in left),)
+        for m in left:
+            del rows[m]
+        yield i, {m: rows[m][1] for m in mlist}, {m: rows[m][3] for m in mlist}
+
+
 def find_metabasins(l: Landscape, eps: float, f: Filtration,
                     decomps: list[ValleyDecomposition], table: SaddleTable) -> MBReport:
     """Smallest aggregation level whose valleys are metabasins of order eps.
@@ -384,23 +467,22 @@ def find_metabasins(l: Landscape, eps: float, f: Filtration,
     A level qualifies when every valley metastate m has all its saddles to
     other valley metastates within eps above its gate energy (MB1) and at
     least two unimodal escape targets (MB2). Levels above nlevels - 2 are
-    never considered. Returns level None if no level qualifies. A level reads
-    only ``escape_exponents``, no jump-chain limit, which tied energies can void.
+    never considered. Returns level None if no level qualifies. The levels
+    come from ``_scan``, which keeps each valley's margin and witnesses
+    across levels; no level builds a jump-chain limit, which tied energies
+    can void, and only the qualifying level builds its metastate space, for
+    the partition.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     scan = []
-    for i in range(1, f.levels - 1):
-        ms = metastate_space(decomps[i - 1], f)
-        mlist, D, udh = escape_exponents(l, ms, table)
-        targets = np.array(mlist)
-        margins = dict(zip(mlist, D.max(axis=1).tolist()))
-        witnesses = {m: tuple(targets[row].tolist()) for m, row in zip(mlist, udh)}
+    for i, margins, witnesses in _scan(l, f, decomps, table):
         mb1 = all(v <= eps for v in margins.values())
         mb2 = all(len(w) >= 2 for w in witnesses.values())
         scan.append((i, mb1, mb2))
         if mb1 and mb2:
-            return MBReport(eps, i, dict(ms.valley_of), margins, witnesses, tuple(scan))
+            partition = dict(metastate_space(decomps[i - 1], f).valley_of)
+            return MBReport(eps, i, partition, margins, witnesses, tuple(scan))
     return MBReport(eps, None, None, {}, {}, tuple(scan))
 
 

@@ -129,6 +129,9 @@ def load_landscape(path) -> Landscape:
     "neighbors": [...]?}], "edges": [[a, b], ...]}``. Either every state
     carries a symmetric "neighbors" list, or "edges" lists each undirected
     edge exactly once, not both. Every malformed file raises ``LandscapeError``.
+    Energies are read as binary floats, not as exact decimals: energy
+    differences that tie in decimal, such as 0.3 - 0.1 and 0.2, need not tie
+    in binary, so a tie rule on costs or saddles applies only to binary ties.
     """
     with open(path) as fh:
         try:

@@ -15,8 +15,9 @@ state's walled sublevel component borders. The tests check it against a
 minimax Dijkstra, a sublevel breadth-first search and path enumeration in
 ``reference``. ``climb`` is the one climb search, behind the filtration and
 ``activation_energy``. ``rising_reach`` is the strictly rising search of the
-metabasin scan; ``uphill_downhill_path``, the per-pair search it replaced
-there, is kept as the tests' oracle.
+metabasin scan, run once per start state and free of any level;
+``uphill_downhill_path``, the per-pair search it replaced there, is kept as
+the tests' oracle.
 """
 
 from __future__ import annotations
@@ -253,32 +254,26 @@ def _monotone_leg(l: Landscape, start: int, goal: int, avoid, rising: bool):
     return None
 
 
-def rising_reach(neighbors, energy: list[float], start: int, rep: list[int],
-                 allowed: tuple[int, ...]) -> tuple[set[int], set[int]]:
-    """States reached from ``start`` by strictly rising moves, and the refused labels.
+def rising_reach(neighbors, energy: list[float], start: int) -> set[int]:
+    """States reached from ``start`` by strictly rising moves, ``start`` included.
 
-    A move v -> u is taken when E(u) > E(v) and ``rep[u]`` is in ``allowed``;
-    the labels ``rep[u]`` of the states refused at a rising move are returned
-    too. Read backwards, the reached set is every state with a strictly falling
-    path to ``start`` through allowed states. No energy cap is needed to
-    answer a ``_monotone_leg`` question: every state of a strictly monotone
-    path to a goal lies strictly between the start's and the goal's energy.
+    Read backwards, the set is every state with a strictly falling path to
+    ``start``. It depends on ``start`` alone, so one search per start state
+    serves every level of the metabasin scan; callers check which parts of the
+    level it lies in. No energy cap is needed to answer a ``_monotone_leg``
+    question: every state of a strictly monotone path to a goal lies strictly
+    between the start's and the goal's energy.
     """
     seen = {start}
-    refused = set()
     stack = [start]
     while stack:
         v = stack.pop()
         ev = energy[v]
         for u in neighbors[v]:
-            if energy[u] <= ev or u in seen:
-                continue
-            if rep[u] in allowed:
+            if energy[u] > ev and u not in seen:
                 seen.add(u)
                 stack.append(u)
-            else:
-                refused.add(rep[u])
-    return seen, refused
+    return seen
 
 
 def uphill_downhill_path(l: Landscape, frm: int, to: int, avoid=frozenset(),

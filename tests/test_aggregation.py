@@ -27,7 +27,7 @@ from metabasins.aggregation import (
 from metabasins.chain import build_metropolis, expected_hitting_time
 from metabasins.filtration import local_minima, scoppola_filtration
 from metabasins.landscape import Landscape, gen_random_landscape, reachable
-from metabasins.valleys import decompose_all
+from metabasins.valleys import ValleyDecomposition, decompose_all
 from metabasins import simulate
 
 
@@ -689,34 +689,117 @@ def test_escape_exponents_need_non_assigned_gates(L6):
         escape_exponents(L6.l, inside, L6.table)
 
 
-def test_mb_scan_runs_two_monotone_searches_per_valley(monkeypatch):
-    pair_calls, searches, levels = [], [0], []
-    real_search, real_exponents = aggregation.rising_reach, aggregation.escape_exponents
+def test_mb_scan_runs_one_rising_search_per_start_state(monkeypatch):
+    pair_calls, starts = [], []
+    real_search = aggregation.rising_reach
 
-    def counting_search(*args):
-        searches[0] += 1
-        return real_search(*args)
-
-    def counting_exponents(l, ms, table):
-        before = searches[0]
-        mlist, D, udh = real_exponents(l, ms, table)
-        levels.append((searches[0] - before, len(mlist)))
-        return mlist, D, udh
+    def counting_search(neighbors, energy, start):
+        starts.append(start)
+        return real_search(neighbors, energy, start)
 
     for module, name in ((saddles, "uphill_downhill_path"), (saddles, "_monotone_leg"),
                          (aggregation, "uphill_downhill_path")):
         monkeypatch.setattr(module, name, lambda *a, **k: pair_calls.append(a),
                             raising=False)
     monkeypatch.setattr(aggregation, "rising_reach", counting_search)
-    monkeypatch.setattr(aggregation, "escape_exponents", counting_exponents)
     seeds = [s for s in range(60) if len(local_minima(gen_random_landscape(48, 4, 0.05, s))) == 16]
+    levels = 0
     for s in seeds[:4]:
         l = gen_random_landscape(48, 4, 0.05, s)
         f, table, decomps = stages(l)
-        find_metabasins(l, 0.5, f, decomps, table)
+        starts.clear()
+        report = find_metabasins(l, 0.5, f, decomps, table)
+        scanned = [decomps[i - 1] for i, _, _ in report.scan]
+        gates = {g for d in scanned
+                 for g in [*d.exit_gate.values(), *(p[2] for p in d.pending.values())]}
+        # each local minimum (its Down set) and each distinct gate (its Up set) once
+        assert len(starts) == len(set(starts))
+        assert local_minima(l) <= set(starts) <= local_minima(l) | gates
+        levels += len(scanned)
     assert pair_calls == []
-    assert len(levels) > 20
-    assert all(calls <= 2 * k for calls, k in levels)
+    assert levels > 20
+
+
+def _scan_inputs(L14X):
+    """L14X and random inputs of the decomposition tests' sizes, each with its
+    np.round(energy, 1) and np.round(energy, 0) twins (ties)."""
+    base = [L14X.l] + [gen_random_landscape(n, 4, 0.05, 1) for n in (60, 150, 300)]
+    return base + [Landscape(np.round(l.energy, d), l.neighbors)
+                   for l in base for d in (1, 0)]
+
+
+def test_scan_matches_escape_exponents_at_every_level(L14X):
+    # the scan keeps each row across levels; escape_exponents builds it afresh
+    rows = tied = 0
+    for l in _scan_inputs(L14X):
+        f, table, decomps = stages(l)
+        levels = list(aggregation._scan(l, f, decomps, table))
+        assert [i for i, _, _ in levels] == list(range(1, f.levels - 1))
+        for i, margins, witnesses in levels:
+            mlist, D, udh = escape_exponents(l, metastate_space(decomps[i - 1], f), table)
+            targets = np.array(mlist)
+            assert list(margins) == list(witnesses) == list(mlist)
+            assert [v.hex() for v in margins.values()] == [v.hex() for v in D.max(axis=1).tolist()]
+            assert list(witnesses.values()) == [tuple(targets[row].tolist()) for row in udh]
+            rows += len(mlist)
+            tied += len(np.unique(l.energy)) < l.n
+    assert rows > 20000 and tied > 200
+
+
+def test_scan_and_exponents_refuse_a_reach_outside_its_level():
+    # hand-built levels that no valley decomposition gives; the last level of
+    # each case is refused, at level 2 only through the state it takes from
+    # the non-assigned set. On the first landscape state 2 falls to 0, and
+    # V(4) takes it; on the second the gate 3 of V(0) rises to 4, and V(6)
+    # takes it, while Down(0) = {0, 1} stays in V(0).
+    falls = Landscape(np.array([0.0, 1.2, 1.5, 4.0, 1.0, 0.5, 0.7]),
+                      ((1, 2), (0, 3), (0, 4), (1, 4, 5, 6), (2, 3), (3,), (3,)))
+    rises = Landscape(np.array([0.0, 3.0, 1.0, 2.0, 2.5, 4.0, 0.5, 0.7]),
+                      ((1,), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6, 7), (5,), (5,)))
+    fell = ({0: {0}, 4: {2, 4}, 5: {5}, 6: {6}}, {0: 1, 4: 3, 5: 3, 6: 3})
+    rose = ({0: {0, 1, 2}, 6: {4, 6}, 7: {7}}, {0: 3, 6: 5, 7: 5})
+    met = r"the falling set of 0 meets the valleys of \[4\]; the metastate space is not"
+    entered = r"the gate of 0 rises into the valleys of \[6\]; the metastate space is not"
+    cases = [(falls, [fell], met),
+             (falls, [({0: {0}, 4: {4}, 5: {5}, 6: {6}}, {0: 1, 4: 2, 5: 3, 6: 3}), fell], met),
+             (rises, [rose], entered),
+             (rises, [({0: {0, 1, 2}, 6: {6}, 7: {7}}, {0: 3, 6: 5, 7: 5}), rose], entered)]
+    for l, levels, error in cases:
+        f, table = scoppola_filtration(l), saddles.saddle_table(l)
+        assert f.levels == 4    # the scan reads levels 1 and 2
+        decomps = []
+        for i, (valleys, gates) in enumerate(levels, start=1):
+            valley = {m: frozenset(v) for m, v in valleys.items()}
+            decomps.append(ValleyDecomposition(
+                i, {}, valley, frozenset(range(l.n)).difference(*valley.values()),
+                {}, {}, gates, {}))
+        for d in decomps[:-1]:
+            escape_exponents(l, metastate_space(d, f), table)
+        with pytest.raises(ValueError, match=error):
+            escape_exponents(l, metastate_space(decomps[-1], f), table)
+        with pytest.raises(ValueError, match=error):
+            find_metabasins(l, 0.5, f, decomps, table)
+
+
+def test_power_of_two_scaling_scales_the_scan_exactly(L14X):
+    # E -> 4E is exact in binary floats: every comparison and tie stays, and
+    # every difference of energies is exactly 4x
+    for l in _scan_inputs(L14X):
+        big = dataclasses.replace(l, energy=4 * l.energy)
+        (f, table, decomps), (f4, table4, decomps4) = stages(l), stages(big)
+        assert f4.deletion_order == f.deletion_order
+        assert f4.deletion_costs == tuple(4 * c for c in f.deletion_costs)
+        for (i, margins, witnesses), (i4, margins4, witnesses4) in zip(
+                aggregation._scan(l, f, decomps, table),
+                aggregation._scan(big, f4, decomps4, table4), strict=True):
+            assert (i4, list(witnesses4.items())) == (i, list(witnesses.items()))
+            assert list(margins4.items()) == [(m, 4 * v) for m, v in margins.items()]
+        for eps in (0.5, 2.5, 1e9):
+            r, r4 = find_metabasins(l, eps, f, decomps, table), find_metabasins(
+                big, 4 * eps, f4, decomps4, table4)
+            assert (r4.level, r4.partition, r4.mb2_witnesses, r4.scan) == (
+                r.level, r.partition, r.mb2_witnesses, r.scan)
+            assert list(r4.mb1_margin.items()) == [(m, 4 * v) for m, v in r.mb1_margin.items()]
 
 
 def test_find_metabasins_with_table_runs_no_pair_sweep(L14X, monkeypatch):
