@@ -8,10 +8,13 @@ table symmetric and makes the saddle energy of a valley bottom to its own
 outer boundary equal to the boundary state's energy.
 
 One energy-stamped union-find sweep (``Sweep``, the merge forest of the
-sublevel sets) answers every saddle question: ``saddle_table`` replays its
-links, ``essential_saddle`` reads one pair from its root paths, and the valley
-layer, with a level's strict basins as labelled walls, asks it which basins a
-state's walled sublevel component borders. The tests check it against a
+sublevel sets) answers every saddle question: ``saddle_table`` fills one
+block per link in the forest's leaf order, where every component is one
+interval, ``essential_saddle`` reads one pair from its root paths, and the
+valley layer, with a level's strict basins as labelled walls, asks it which
+basins a state's walled sublevel component borders. The sweep finds its own
+roots through a path-compressed finder kept beside the stamped forest, whose
+root paths stay those of union by size. The tests check it against a
 minimax Dijkstra, a sublevel breadth-first search and path enumeration in
 ``reference``. ``climb`` is the one climb search, behind the filtration and
 ``activation_energy``. ``rising_reach`` is the strictly rising search of the
@@ -26,6 +29,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,7 +68,17 @@ class Sweep:
     records z (``via``) and E(z) (``stamp``); ``links`` lists the absorbed roots
     in the order their links formed. Stamps are non-decreasing towards a root,
     so following the links stamped <= e from s ends at the representative of
-    s's component in the sublevel set {x : E(x) <= e} minus the walls.
+    s's component in the sublevel set {x : E(x) <= e} minus the walls. The
+    construction finds its own roots through a path-compressed copy of the
+    same components, kept beside the stamped forest, which it leaves as is.
+
+    ``order``, built on first use, lists the states so that every component at
+    every link is one interval of it (the leaf order of the merge tree): a
+    root's own leaf opens its interval, and a link appends the absorbed root's
+    interval right after its root's. So the link of b under a joins the
+    ``size[a]`` states just before ``b`` to the ``size[b]`` states that ``b``
+    opens (``size`` is final once a root is absorbed). The remaining roots'
+    intervals follow each other in increasing root order.
 
     A component touches a wall w through an edge (v, w) once both lie in the
     sublevel set, at max(E(v), E(w)). Each root keeps its component's first
@@ -76,44 +90,68 @@ class Sweep:
     """
 
     def __init__(self, l: Landscape, wall=None):
-        energy = l.energy.tolist()
-        wall = [-1] * l.n if wall is None else wall
-        self.parent = parent = list(range(l.n))
-        self.stamp = stamp = [math.inf] * l.n
-        self.via = via = [-1] * l.n
+        n = l.n
+        energy, neighbors = l.energy.tolist(), l.neighbors
+        wall = [-1] * n if wall is None else wall
+        self.parent = parent = list(range(n))
+        self.stamp = stamp = [math.inf] * n
+        self.via = via = [-1] * n
         self.links = links = []
         self.touch = touch = {}   # root -> {wall label: first touch energy}, two at most
-
-        def reach(root, label, e):
-            kept = touch.setdefault(root, {})
-            if len(kept) < 2:
-                kept.setdefault(label, e)
-
-        size, active, passed = [1] * l.n, [False] * l.n, [False] * l.n
+        self.size = size = [1] * n
+        find = parent[:]          # the same components' roots, path-compressed
+        last, after = parent[:], [-1] * n   # each root's leaf list, opened by the root
+        active, passed = [False] * n, [False] * n
         for z in np.argsort(l.energy).tolist():
             ez = energy[z]
             if wall[z] >= 0:
                 passed[z] = True
-                for u in l.neighbors[z]:
+                for u in neighbors[z]:
                     if active[u]:
-                        reach(self._root(u, math.inf), wall[z], ez)
+                        while find[u] != u:
+                            find[u] = u = find[find[u]]
+                        kept = touch.setdefault(u, {})
+                        if len(kept) < 2:
+                            kept.setdefault(wall[z], ez)
                 continue
             active[z] = True
-            for u in l.neighbors[z]:
+            a = z                 # the root of z's component
+            for u in neighbors[z]:
                 if passed[u]:
-                    reach(self._root(z, math.inf), wall[u], ez)
+                    kept = touch.setdefault(a, {})
+                    if len(kept) < 2:
+                        kept.setdefault(wall[u], ez)
                 if not active[u]:
                     continue
-                a, b = self._root(z, math.inf), self._root(u, math.inf)
+                b = u
+                while find[b] != b:
+                    find[b] = b = find[find[b]]
                 if a == b:
                     continue
                 if size[a] < size[b]:
                     a, b = b, a
-                parent[b], stamp[b], via[b] = a, ez, z
+                parent[b] = find[b] = a
+                stamp[b], via[b] = ez, z
                 size[a] += size[b]
                 links.append(b)
-                for label in touch.get(b, ()):
-                    reach(a, label, ez)
+                after[last[a]], last[a] = b, last[b]
+                if b in touch:
+                    kept = touch.setdefault(a, {})
+                    for label in touch[b]:
+                        if len(kept) < 2:
+                            kept.setdefault(label, ez)
+        self._after = after
+
+    @cached_property
+    def order(self) -> list[int]:
+        """The leaf order: each root's leaf list, roots in increasing order."""
+        order, after = [], self._after
+        for r, p in enumerate(self.parent):
+            if p == r:
+                while r >= 0:
+                    order.append(r)
+                    r = after[r]
+        return order
 
     def _root(self, v: int, e: float) -> int:
         parent, stamp = self.parent, self.stamp
@@ -138,21 +176,24 @@ class Sweep:
 
 
 def saddle_table(l: Landscape) -> SaddleTable:
-    """Replay of one sweep: the link of root b under root a first connects
-    members(a) x members(b), and those pairs get the state that formed it."""
+    """Block fill of one sweep in its leaf order: the link of root b under root
+    a first connects members(a) x members(b), two adjacent intervals of
+    ``order``, and those pairs get the state that formed it."""
     n = l.n
     sweep = Sweep(l)
     if len(sweep.links) < n - 1:
         raise LandscapeError("landscape not connected")
-    state = np.empty((n, n), dtype=int)
-    members = [[v] for v in range(n)]
+    leaf = np.empty(n, dtype=int)           # state -> its place in the leaf order
+    leaf[sweep.order] = np.arange(n)
+    at, size, parent, via = leaf.tolist(), sweep.size, sweep.parent, sweep.via
+    block = np.empty((n, n), dtype=int)     # the table in leaf coordinates
     for b in sweep.links:
-        a = sweep.parent[b]
-        A, B = members[a], members[b]
-        column = np.array(A)[:, None]
-        state[column, B] = state[B, column] = sweep.via[b]
-        A.extend(B)
-    np.fill_diagonal(state, np.arange(n))
+        lo, mid = at[parent[b]], at[b]
+        hi = mid + size[b]
+        block[lo:mid, mid:hi] = block[mid:hi, lo:mid] = via[b]
+    np.fill_diagonal(block, sweep.order)
+    state = block[np.ix_(leaf, leaf)]
+    del block                               # at most two n x n arrays at once
     return SaddleTable(state, l.energy[state])
 
 
@@ -161,6 +202,8 @@ def essential_saddle(l: Landscape, r: int, s: int) -> tuple[int, float]:
 
     The root paths of r and s meet at the first root that held both; the
     latest formed link below that point on either path connected the pair.
+    Stamps never decrease along the link order, and with distinct energies
+    links that share a stamp share their ``via``, so the highest stamp names it.
     """
     if r == s:
         raise ValueError("essential saddle of a state with itself is undefined")
@@ -170,7 +213,7 @@ def essential_saddle(l: Landscape, r: int, s: int) -> tuple[int, float]:
     if not shared:
         raise ValueError("states not connected")
     below = [v for v in up_r + up_s if v not in shared]
-    z = sweep.via[max(below, key=sweep.links.index)]
+    z = sweep.via[max(below, key=sweep.stamp.__getitem__)]
     return z, float(l.energy[z])
 
 

@@ -27,7 +27,7 @@ from .chain import (HittingQuery, build_metropolis, expected_hitting_time, hitti
 from .filtration import scoppola_filtration
 from .landscape import Landscape, gen_random_landscape, reachable
 from .saddles import essential_saddle, saddle_table
-from .valleys import attracted, decompose_all, outer_boundary
+from .valleys import _Level, _suffixes, decompose_all, outer_boundary
 from .verifydata import FixtureSet
 
 
@@ -125,7 +125,9 @@ def c2_valley_oracle(fx: FixtureSet) -> CriterionResult:
 
 
 def _valley_invariants(l, f, table, decomps) -> str | None:
-    for d in decomps:
+    for d, row in zip(decomps, _suffixes(l, table, f.deletion_order)):
+        M = f.M(d.level)
+        level = _Level(l, M, *row)
         assigned = d.assigned_valleys()
         cover: set[int] = set()
         for m, members in assigned.items():
@@ -143,13 +145,11 @@ def _valley_invariants(l, f, table, decomps) -> str | None:
                 return f"level {d.level}: strict basin of {m} disconnected"
             # sandwich: every state attracted by m sits in the valley, and the
             # valley stays inside the weak-inequality region
-            M = f.M(d.level)
             for s in range(l.n):
-                if s not in members and s not in M \
-                        and attracted(l, table, M, s, m):
+                if s not in members and s not in M and level.target(s) == m:
                     return f"level {d.level}: attracted state {s} outside valley of {m}"
             for s in members:
-                if any(table.energy[s, mp] < table.energy[s, m] for mp in f.M(d.level)):
+                if any(table.energy[s, mp] < table.energy[s, m] for mp in M):
                     return f"level {d.level}: valley of {m} leaves the weak region"
         if d.level > 1:
             prev = decomps[d.level - 2]

@@ -5,6 +5,7 @@ from metabasins import reference
 from metabasins.landscape import Landscape, LandscapeError, gen_random_landscape
 from metabasins.reference import minimax_path
 from metabasins.saddles import (
+    Sweep,
     activation_energy,
     climb,
     essential_saddle,
@@ -12,6 +13,23 @@ from metabasins.saddles import (
     sublevel_connected,
     uphill_downhill_path,
 )
+
+
+def lattice(side, seed):
+    """A side x side four-neighbour lattice with distinct energies in random order.
+
+    Unlike the near-trees of ``gen_random_landscape``, an entering state here
+    often joins several components at once.
+    """
+    n = side * side
+    energy = np.random.default_rng(seed).permutation(n) * 0.25
+    neighbors = []
+    for v in range(n):
+        row, col = divmod(v, side)
+        neighbors.append(tuple(u for u, inside in ((v - side, row > 0), (v - 1, col > 0),
+                                                   (v + 1, col < side - 1),
+                                                   (v + side, row < side - 1)) if inside))
+    return Landscape(energy, tuple(neighbors))
 
 
 def test_l6_saddles(L6):
@@ -69,6 +87,75 @@ def test_table_matches_minimax_dijkstra_at_n300(seed):
         rec = minimax_path(l, a, b)
         assert t.energy[a, b] == rec.max_energy
         assert t.state[a, b] == t.state[b, a] == max(rec.states, key=lambda s: l.energy[s])
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_lattice_table_matches_minimax_dijkstra(seed):
+    l = lattice(8, seed)
+    t = saddle_table(l)
+    assert (np.diag(t.state) == np.arange(l.n)).all()
+    for a in range(l.n):
+        for b in range(a + 1, l.n):
+            rec = minimax_path(l, a, b)
+            assert t.energy[a, b] == t.energy[b, a] == rec.max_energy
+            assert t.state[a, b] == t.state[b, a] == max(rec.states, key=lambda s: l.energy[s])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lattice_table_matches_path_enumeration(seed):
+    l = lattice(3, seed)
+    t = saddle_table(l)
+    for a in range(l.n):
+        for b in range(a + 1, l.n):
+            assert (t.state[a, b], t.energy[a, b]) == reference.minimax_oracle(l, a, b)
+            assert essential_saddle(l, a, b) == (t.state[a, b], t.energy[a, b])
+
+
+def test_table_invariant_under_relabelling():
+    # renaming the states renames the table: z*(p(a), p(b)) = p(z*(a, b))
+    l = lattice(8, 5)
+    p = np.random.default_rng(5).permutation(l.n)
+    energy = np.empty(l.n)
+    energy[p] = l.energy
+    neighbors = [()] * l.n
+    for v, nbrs in enumerate(l.neighbors):
+        neighbors[p[v]] = tuple(sorted(int(p[u]) for u in nbrs))
+    t, u = saddle_table(l), saddle_table(Landscape(energy, tuple(neighbors)))
+    assert np.array_equal(u.state[np.ix_(p, p)], p[t.state])
+    assert np.array_equal(u.energy[np.ix_(p, p)], t.energy)
+
+
+def _walled_sweeps():
+    for seed in range(12):
+        l = gen_random_landscape(10 + 7 * seed, 4, 0.05, seed=500 + seed)
+        wall = np.random.default_rng(seed).integers(-1, 3, size=l.n)
+        # no walls, or walls with one label, or with two
+        wall[wall >= seed % 3] = -1
+        yield l, wall.tolist()
+    l = lattice(8, 7)
+    yield l, [-1] * l.n
+    yield l, np.random.default_rng(7).integers(-1, 2, size=l.n).tolist()
+
+
+@pytest.mark.parametrize("l, wall", list(_walled_sweeps()))
+def test_every_link_joins_adjacent_intervals_of_the_leaf_order(l, wall):
+    sweep = Sweep(l, wall)
+    order = sweep.order
+    assert sorted(order) == list(range(l.n))
+    place = {v: i for i, v in enumerate(order)}
+    members = {v: [v] for v in range(l.n)}
+    for b in sweep.links:
+        a = sweep.parent[b]
+        # a's interval opens at a, and b's opens right after it ends
+        lo, mid = place[a], place[a] + len(members[a])
+        hi = mid + len(members[b])
+        assert order[mid] == b
+        assert sorted(order[lo:mid]) == sorted(members[a])
+        assert sorted(order[mid:hi]) == sorted(members[b])
+        assert sweep.size[b] == len(members[b])
+        members[a] += members.pop(b)
+    assert all(sweep.size[r] == len(m) for r, m in members.items())
+    assert all(w < 0 or members[v] == [v] for v, w in enumerate(wall))
 
 
 @pytest.mark.parametrize("seed", range(20))

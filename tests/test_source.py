@@ -74,6 +74,13 @@ def test_one_heap_search():
     assert sorted(callers("heappop")) == ["reference.minimax_path", "saddles.climb"]
 
 
+def test_saddle_table_fills_blocks():
+    # the table is filled one block per link in the sweep's leaf order, so no
+    # per-link member arrays are built
+    assert "saddles.saddle_table" in callers("fill_diagonal")
+    assert "saddles.saddle_table" not in callers("array")
+
+
 def scopes(tree):
     """(name, function) for every module-level function and method."""
     for node in tree.body:
@@ -105,9 +112,11 @@ def test_merge_forest_built_only_for_saddles_and_ties():
 def test_level_reads_one_column_per_set():
     # each metastable set is the next one plus one bottom: one backward pass
     # over a deletion order reads one saddle-table column per set, and no
-    # level sorts a block of columns
+    # level sorts a block of columns; verify's valley invariants take the same
+    # rows, one level each
     assert calls("partition") == []
-    assert callers("_suffixes") == ["valleys.attracted", "valleys.decompose_all"]
+    assert callers("_suffixes") == ["valleys.attracted", "valleys.decompose_all",
+                                    "verify._valley_invariants"]
 
 
 def test_defaults_only_where_callers_differ():
