@@ -172,9 +172,8 @@ def cmd_simulate(args) -> int:
     cell = [f",{x}\r\n" for x in l.labels]
     block = 1 << 12     # rows per join: memory stays bounded however long the run
     _write_csv(out / "trajectory.csv", "n,state", (
-        "".join(map(add, map(str, range(i, i + block)),
-                    map(cell.__getitem__, traj.states[i:i + block].tolist())))
-        for i in range(0, len(traj.states), block)))
+        "".join([f"{i}{cell[s]}" for i, s in enumerate(traj.states[a:a + block].tolist(), a)])
+        for a in range(0, len(traj.states), block)))
     counts = np.bincount(traj.states, minlength=l.n)
     _write_json(out / "stats.json", {
         "beta": args.beta, "seed": args.seed, "steps": args.steps,

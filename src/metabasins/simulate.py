@@ -9,6 +9,10 @@ feasible at large beta where the lazy chain would sit still for e^{50+} steps.
 One class, ``JumpWalker``, walks both chains on step tables built once per
 model from the kernel's row table (``TransitionModel.rows``), each replica on
 its own buffered uniform stream, and one scalar loop steps on either table.
+The loop iterates over the stream's listed chunk in place and checks each
+uniform first against the state's hold interval, the uniforms that keep the
+walk where it is: at large beta the lazy chain holds on most steps, and a
+held step costs one comparison. Jump rows hold on none.
 ``run_metropolis`` is one lazy walk, and ``estimate_hitting`` takes its first
 step by it. ``walk`` jumps until a labelling of the states has changed K
 times and returns the states as an ndarray: ``run_until_sigma`` (the
@@ -45,6 +49,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -94,8 +99,9 @@ def _pinned(cums: np.ndarray) -> list[float]:
 
 # A window reads one table entry per state per step, so its cost grows with
 # n while the scalar rule's does not. On gen_random_landscape(n, 4, 0.05, 1)
-# at beta 3 the window is 26% faster at n = 40 and 14% at 48, and slower from
-# 56 on; above FSM_MAX_STATES a walk stays scalar (CHANGES.md has the table).
+# at beta 3 (200,000-step walks) the window is 10-13% faster than the scalar
+# loop at n = 40, 4-11% at 48, and 9-14% slower at 56; above FSM_MAX_STATES
+# a walk stays scalar (CHANGES.md has the figures).
 FSM_MAX_STATES = 40
 # A window costs as much numpy call overhead as a few hundred scalar steps,
 # so a walk goes scalar until it has run long enough to be likely to fill one
@@ -112,7 +118,11 @@ class JumpWalker:
     ``JumpWalker(model)`` builds its tables from ``model.rows``: per state r,
     the row's states and r's neighbours with their cumulative lazy and embedded
     probabilities (each list pinned to end in exactly 1.0, and the lazy ones
-    then lowered by one ulp), and p(r, r). A state whose exit probability is
+    then lowered by one ulp), p(r, r), and r's hold interval (lo, hi]: with k
+    the index of r in its lazy row, hi is the row's lowered value at k and lo
+    the one before it, or -1.0 when k = 0. A uniform u keeps the lazy walk at
+    r exactly when lo < u <= hi; jump rows have the empty interval
+    (-1.0, -1.0). A state whose exit probability is
     0 (no neighbours, or every exit underflowed) has an empty embedded row and
     no jump targets; ``walk``, ``step`` and ``holding`` raise ``NoExitError``
     from it, while lazy steps stay there.
@@ -127,7 +137,7 @@ class JumpWalker:
     the first entry of r's row whose cumulative value reaches u: a jump to
     ``neighbors[r][bisect_left(cums[r], u)]``. On the lowered lazy rows that
     is the first state whose pinned cumulative value exceeds u, the literal
-    rule of the lazy chain.
+    rule of the lazy chain; the hold interval is where that rule picks r.
 
     With at most ``FSM_MAX_STATES`` states, the jump chain is also a table
     M[symbol, state], built on the first window and shared by every stream.
@@ -145,6 +155,13 @@ class JumpWalker:
         # one ulp lower: the first value that reaches u is the first pinned
         # one that exceeds u, so the jump loop's rule takes the lazy step
         self._lazy = [np.nextafter(_pinned(np.cumsum(p)), -1.0).tolist() for _, p in model.rows]
+        # the uniforms u in (lo, hi] that keep a lazy walk at r: those for
+        # which the scan picks r's own entry. Jump rows have none.
+        self._held = []
+        for r, (to, row) in enumerate(zip(self._to, self._lazy)):
+            k = to.index(r)
+            self._held.append((row[k - 1] if k else -1.0, row[k]))
+        self._never = [(-1.0, -1.0)] * n
         self._neighbors, self._cums = [], []
         self._exit = off_diagonal_row_sums(model.P, range(n)).tolist()
         for r, ((to, p), exit_mass) in enumerate(zip(model.rows, self._exit)):
@@ -220,7 +237,8 @@ class JumpWalker:
         """``start`` and the states of ``steps`` lazy steps after it."""
         states = [start]
         # no label reaches steps + 1 changes, so the walk runs all its steps
-        self._jumps(states, self._to, self._lazy, range(len(self._to)), steps + 1, steps)
+        self._jumps(states, self._to, self._lazy, self._held, range(len(self._to)), steps + 1,
+                    steps)
         return states
 
     def walk(self, start: int, label, K: int, max_steps: int = 50_000_000) -> np.ndarray:
@@ -235,7 +253,7 @@ class JumpWalker:
             raise ValueError("K must be nonnegative")
         states = [start]
         head = max_steps + 1 if self._fsm is None else min(HEAD_STEPS, max_steps + 1)
-        changes = self._jumps(states, self._neighbors, self._cums, label, K, head)
+        changes = self._jumps(states, self._neighbors, self._cums, self._never, label, K, head)
         if len(states) > max_steps + 1:
             raise RuntimeError(f"walk budget of {max_steps} steps exhausted "
                                f"before the {K}-th label change")
@@ -243,49 +261,55 @@ class JumpWalker:
             return np.array(states)
         return self._windows(states, label, K, changes, max_steps)
 
-    def _jumps(self, states: list[int], neighbors, cums, label, K: int, limit: int) -> int:
+    def _jumps(self, states: list[int], neighbors, cums, hold, label, K: int, limit: int) -> int:
         """Steps on the row tables appended to ``states``, until the K-th label
         change or until ``limit`` steps; returns the number of changes.
-        A step from r goes to the first of ``neighbors[r]`` whose value in
-        ``cums[r]`` reaches the next uniform."""
+
+        One loop over the unread values of the listed chunk, in place. A
+        step from r first checks the next uniform u against r's hold
+        interval ``hold[r]`` = (lo, hi]: inside it, the walk stays at r.
+        Otherwise it goes to the first of ``neighbors[r]`` whose value in
+        ``cums[r]`` reaches u. Every value read appends a state, so the
+        stream moves on by the number appended, and by one more for the
+        value that met an empty row (``NoExitError``)."""
         # the loop runs for ~e^{beta * gap} steps per valley exit; keep it flat
         append = states.append
         cur = states[-1]
+        lo, hi = hold[cur]
         cur_label = label[cur]
-        changes = steps = 0
-        pos = self._pos
-        nbuf = self._end
-        # listed only if a value is left: a walk without steps reads nothing
-        buf = self._listed() if pos < nbuf else None
-        try:
-            while changes < K and steps < limit:
-                if pos >= nbuf:
-                    self._pos = pos
-                    self._refill()
-                    buf = self._listed()
-                    nbuf = self._end
-                    pos = 0
-                u = buf[pos]
-                pos += 1
-                row = cums[cur]
-                i = 0
-                while row[i] < u:   # bisect_left(row, u), cheaper on short rows
-                    i += 1
-                cur = neighbors[cur][i]
-                append(cur)
-                lab = label[cur]
-                if lab != cur_label:
-                    changes += 1
-                    cur_label = lab
-                steps += 1
-        except IndexError:
-            # only an empty row fails ``row[i]``; caught here, outside the
-            # loop, so that steps from other states pay no check
-            if cums[cur]:
-                raise
-            raise NoExitError(cur) from None
-        finally:
-            self._pos = pos   # the stream goes on from here
+        changes = 0
+        end = len(states) + limit
+        while changes < K and len(states) < end:
+            if self._pos >= self._end:
+                self._refill()
+            pos, mark = self._pos, len(states)
+            try:
+                for u in islice(self._listed(), pos, min(self._end, pos + end - mark)):
+                    if lo < u <= hi:
+                        append(cur)
+                        continue
+                    row = cums[cur]
+                    i = 0
+                    while row[i] < u:   # bisect_left(row, u), cheaper on short rows
+                        i += 1
+                    cur = neighbors[cur][i]
+                    append(cur)
+                    lo, hi = hold[cur]
+                    lab = label[cur]
+                    if lab != cur_label:
+                        cur_label = lab
+                        changes += 1
+                        if changes == K:
+                            break
+            except IndexError:
+                # only an empty row fails ``row[i]``; caught here, around the
+                # loop, so that steps from other states pay no check. The
+                # uniform that met it was read.
+                self._pos = pos + len(states) - mark + 1
+                if cums[cur]:
+                    raise
+                raise NoExitError(cur) from None
+            self._pos = pos + len(states) - mark   # the stream goes on from here
         return changes
 
     def _take(self, k: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,8 +18,9 @@ from metabasins.aggregation import (
     project_trajectory,
 )
 from metabasins.analysis import ols_slope
+from metabasins.cli import main
 from metabasins.chain import build_metropolis, expected_hitting_time, hitting_probability, HittingQuery
-from metabasins.landscape import Landscape, canonical, gen_random_landscape
+from metabasins.landscape import Landscape, canonical, gen_random_landscape, save_landscape
 from metabasins.reference import path_dependent_mb_naive
 from metabasins.simulate import (
     JumpWalker,
@@ -138,13 +140,13 @@ def test_lazy_step_at_a_cumulative_value_moves_past_it():
         assert walker.stream(ConstantStream(u)).lazy_walk(start, 1) == [start, after]
 
 
-def bisect_right_walk(model, start, steps, seed):
-    """Lazy steps by ``bisect_right`` on each kernel row's cumulative values,
-    the last pinned to 1.0: the oracle of ``lazy_walk``, which runs the jump
-    loop on the same rows one ulp lower."""
+def bisect_right_walk(model, start, uniforms):
+    """Lazy steps on ``uniforms`` by ``bisect_right`` on each kernel row's
+    cumulative values, the last pinned to 1.0: the oracle of ``lazy_walk``,
+    which runs the jump loop on the same rows one ulp lower."""
     rows = [(to.tolist(), np.cumsum(p)[:-1].tolist() + [1.0]) for to, p in model.rows]
     states = [start]
-    for u in np.random.default_rng(seed).random(steps).tolist():
+    for u in uniforms:
         to, cums = rows[states[-1]]
         states.append(to[bisect_right(cums, u)])
     return states
@@ -159,8 +161,35 @@ def test_lazy_walk_matches_bisect_right_steps(n, gen_seed, beta, steps, seed, da
     model = build_metropolis(gen_random_landscape(n, 4, 0.05, seed=gen_seed), beta)
     start = data.draw(st.integers(0, n - 1))
     walker = JumpWalker(model).stream(np.random.default_rng(seed))
-    assert walker.lazy_walk(start, steps) == bisect_right_walk(model, start, steps, seed)
+    uniforms = np.random.default_rng(seed).random(steps).tolist()
+    assert walker.lazy_walk(start, steps) == bisect_right_walk(model, start, uniforms)
     assert walker.uniform() == np.random.default_rng(seed).random(steps + 1)[-1]
+
+
+def test_hold_interval_edges_match_bisect_right():
+    # a lazy step from r stays at r exactly when u lies in r's hold interval
+    # (lo, hi], lo and hi being the lowered cumulative values before and at
+    # r's own entry (lo = -1 when it is first). At each end, and one ulp
+    # above each, the step is bisect_right's. At beta 5000 moves underflow
+    # to 0.0, and an empty entry just before r's own makes lo the value
+    # before that entry
+    seen = set()
+    for beta in (5.0, 5000.0):
+        model = build_metropolis(gen_random_landscape(12, 4, 0.05, seed=3), beta)
+        walker = JumpWalker(model)
+        for r, (to, p) in enumerate(model.rows):
+            k = to.tolist().index(r)
+            lowered = np.nextafter(np.cumsum(p)[:-1].tolist() + [1.0], -1.0).tolist()
+            lo, hi = lowered[k - 1] if k else -1.0, lowered[k]
+            seen |= {"first" if k == 0 else "last" if k == len(to) - 1 else "inside"}
+            seen |= {"underflow"} if k and p[k - 1] == 0.0 else set()
+            for u in (lo, hi, np.nextafter(lo, 2.0), np.nextafter(hi, 2.0)):
+                if not 0.0 <= u < 1.0:   # not a uniform
+                    continue
+                walked = walker.stream(ConstantStream(float(u))).lazy_walk(r, 1)
+                assert walked == bisect_right_walk(model, r, [float(u)])
+                assert (walked[-1] == r) == (lo < u <= hi)
+    assert seen == {"first", "inside", "last", "underflow"}
 
 
 def test_walks_without_steps_need_no_stream(L6):
@@ -348,6 +377,57 @@ def test_walk_stops_inside_a_window(L14X):
     for advance, max_steps in [(0, 5000), (0, 5439), (0, 5440), (1400, 3000)] + edges:
         result = assert_walk_is_stepped(walker, 2, advance, 0, [0] * L14X.l.n, 1, max_steps)
         assert result == ("budget",)
+
+
+def lattice(side, seed):
+    """A side x side four-neighbour lattice with uniform random energies."""
+    neighbors = []
+    for v in range(side * side):
+        row, col = divmod(v, side)
+        neighbors.append(tuple(u for u, inside in ((v - side, row > 0), (v - 1, col > 0),
+                                                   (v + 1, col < side - 1),
+                                                   (v + side, row < side - 1)) if inside))
+    return Landscape(np.random.default_rng(seed).random(side * side), tuple(neighbors))
+
+
+def test_lazy_walk_across_chunk_ends():
+    # 30,000 lazy steps, most of them held, read across the stream's chunk
+    # ends at values 64, 320, 1344, 5440 and 21824, from a fresh stream and
+    # from streams that have drawn 1 and 5,000 values
+    model = build_metropolis(lattice(14, 2), 5.0)
+    walker = JumpWalker(model)
+    start = int(np.argmin(model.landscape.energy))
+    for advance in (0, 1, 5000):
+        w = stream_after(walker, 11, advance)
+        uniforms = np.random.default_rng(11).random(advance + 30_001).tolist()
+        states = w.lazy_walk(start, 30_000)
+        assert states == bisect_right_walk(model, start, uniforms[advance:-1])
+        assert w.uniform() == uniforms[-1]
+        assert 0 < sum(a != b for a, b in zip(states, states[1:])) < 15_000
+
+
+def test_scalar_walk_from_deep_inside_a_chunk():
+    # above FSM_MAX_STATES a walk stays scalar. After 60,000 drawn values it
+    # starts inside the stream's chunk of values 21,824 to 87,359, and with
+    # every state its own label its 29,000 jumps cross that chunk's end
+    n = simulate.FSM_MAX_STATES + 20
+    walker = JumpWalker(build_metropolis(gen_random_landscape(n, 4, 0.05, seed=4), 3.0))
+    states = assert_walk_is_stepped(walker, 9, 60_000, 0, list(range(n)), 29_000, WALK_BUDGET)
+    assert len(states) == 29_001
+
+
+def test_scalar_walk_into_a_state_without_exit():
+    # above FSM_MAX_STATES the scalar loop meets the trap at the end of a
+    # path: the uniform that met its empty row was read, and the stream
+    # goes on after it
+    n = simulate.FSM_MAX_STATES + 1
+    energy = np.linspace(0.0, 0.1, n)
+    energy[-1] = -1000.0
+    path = tuple(tuple(s for s in (v - 1, v + 1) if 0 <= s < n) for v in range(n))
+    walker = JumpWalker(build_metropolis(Landscape(energy, path), 5.0))
+    for seed in range(3):
+        trapped = assert_walk_is_stepped(walker, seed, 0, n - 2, [0] * n, 1, WALK_BUDGET)
+        assert trapped == ("no exit", n - 1)
 
 
 def test_walk_rejects_a_negative_K(L6):
@@ -662,3 +742,35 @@ def test_aac_return_frequency_golden_c12(L14X):
     f_l1 = simulate.aac_return_frequency(model, ms_at(L14X, 1), start, 1500, seed=7)
     assert f_mb == 0.6731154102735156
     assert f_l1 == 0.7491661107404937
+
+
+def test_power_of_two_scaling_leaves_the_sampler_unchanged(L6, L14X, tmp_path):
+    # E -> 4E with beta -> beta/4 is exact in binary floats: every
+    # beta * (E(s) - E(r)) is the same float, so the kernel, its rows and
+    # every walk on them are bit-identical, and so are simulate's outputs
+    # but for the beta and mean energy it reports
+    inputs = [L6.l, L14X.l] + [gen_random_landscape(n, 4, 0.05, seed=s)
+                               for n in (30, 80) for s in range(4)]
+    for i, l in enumerate(inputs):
+        big = dataclasses.replace(l, energy=4 * l.energy)
+        start = int(np.argmin(l.energy))
+        label = [s % 3 for s in range(l.n)]
+        for beta in (0.5, 2.0, 5.0):
+            model, model4 = build_metropolis(l, beta), build_metropolis(big, beta / 4)
+            assert model4.P.tobytes() == model.P.tobytes()
+            for (to, p), (to4, p4) in zip(model.rows, model4.rows, strict=True):
+                assert (to4.tolist(), p4.tobytes()) == (to.tolist(), p.tobytes())
+            assert (run_metropolis(model4, start, 2000, 7).states.tolist()
+                    == run_metropolis(model, start, 2000, 7).states.tolist())
+            walks = [outcome(walker_on(m, 7), lambda w: w.walk(start, label, 200, 20_000).tolist())
+                     for m in (model, model4)]
+            assert walks[0] == walks[1]
+        outputs = []
+        for name, land, beta in (("l", l, 2.0), ("big", big, 0.5)):
+            save_landscape(land, tmp_path / f"{name}{i}.json")
+            out = tmp_path / f"{name}{i}"
+            assert main(["simulate", "--landscape", str(tmp_path / f"{name}{i}.json"),
+                         "--beta", str(beta), "--steps", "2000", "--out", str(out)]) == 0
+            outputs.append(((out / "trajectory.csv").read_bytes(),
+                            json.loads((out / "stats.json").read_text())["occupancy"]))
+        assert outputs[0] == outputs[1]
