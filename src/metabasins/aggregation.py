@@ -286,20 +286,12 @@ def escape_exponents(l: Landscape, ms: MetastateSpace, table: SaddleTable):
     def reach(s):
         return rising_reach(l.neighbors, energy, s)
 
-    # flat positions a * n + s of the true entries of the k x n masks Down and Up
-    down_at, up_at = [], []
-    for a, (m, gate) in enumerate(zip(mlist, gates)):
-        down, up = _checked_reaches(reach, m, gate, ms.nonassigned, ms.valley_of)
-        base = a * l.n
-        down_at += [base + s for s in down]
-        up_at += [base + s for s in up]
-    down, up = np.zeros((2, len(mlist), l.n), dtype=bool)
-    down.flat[down_at] = True
-    up.flat[up_at] = True
-    D = table.energy[np.ix_(mlist, mlist)] - l.energy[gates][:, None]
-    z = table.state[np.ix_(gates, mlist)]
-    cols = np.arange(len(mlist))
-    udh = down[cols, z] & up[cols[:, None], z]
+    reaches = [_checked_reaches(reach, m, gate, ms.nonassigned, ms.valley_of)
+               for m, gate in zip(mlist, gates)]   # (Down(m), Up(gate)) per row
+    D = l.energy[table.state[np.ix_(mlist, mlist)]] - l.energy[gates][:, None]
+    z = table.state[np.ix_(gates, mlist)].tolist()
+    udh = np.array([[s in up and s in reaches[b][0] for b, s in enumerate(row)]
+                    for (_, up), row in zip(reaches, z)], dtype=bool).reshape(D.shape)
     np.fill_diagonal(D, -np.inf)
     np.fill_diagonal(udh, False)
     return mlist, D, udh
@@ -447,7 +439,7 @@ def _scan(l: Landscape, f: Filtration, decomps: list[ValleyDecomposition],
                 _checked_reaches(reach, m, gate, nonassigned, valley_of)
             if fresh or row[2] in left:
                 others = targets[targets != m]
-                e = table.energy[m, others]
+                e = l.energy[table.state[m, others]]
                 j = int(e.argmax())
                 up, z = reach(gate), table.state[gate, others].tolist()
                 rows[m] = (gate, float(e[j] - energy[gate]), int(others[j]),

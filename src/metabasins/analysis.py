@@ -53,7 +53,7 @@ def k_beta(l: Landscape, beta: float) -> float:
 
 def log_epsilon(l: Landscape, table: SaddleTable, x: int, y: int, z: int, beta: float) -> float:
     """log of K(beta) e^{-beta(E(z*(x,z)) - E(z*(x,y)) - 7 gamma)}; y = x allowed."""
-    gap = float(table.energy[x, z] - table.energy[x, y])
+    gap = float(l.energy[table.state[x, z]] - l.energy[table.state[x, y]])
     return log_k_beta(l, beta) + beta * (7.0 * gamma_beta(l, beta) - gap)
 
 
@@ -62,7 +62,7 @@ def epsilon_bound(l: Landscape, x: int, y: int, z: int, beta: float,
     """Upper bound on P_x(tau_z < tau_y) when z's saddle is the higher one."""
     if len({x, y, z}) != 3:
         raise ValueError("x, y, z must be pairwise distinct")
-    if not table.energy[x, z] > table.energy[x, y]:
+    if not l.energy[table.state[x, z]] > l.energy[table.state[x, y]]:
         raise ValueError("requires E(z*(x,z)) > E(z*(x,y))")
     if table.state[x, z] == x:
         raise ValueError("requires z*(x,z) != x")
@@ -89,16 +89,17 @@ def _log_epsilon_tilde_link(l, table, decomps, x, m, y, beta, level) -> float:
     """One link of the chained bound: x attracted by m at the given level."""
     lk = log_k_beta(l, beta)
     g7 = 7.0 * gamma_beta(l, beta)
-    exy = table.energy[x, y]
-    exm = table.energy[x, m]
+    ex = l.energy[table.state[x]]
+    exy, exm = ex[y], ex[m]
     if exy > exm:
         return lk + beta * (g7 - (exy - exm))
+    ey, em = l.energy[table.state[:, y]], l.energy[table.state[:, m]]
     terms = []
     for z in range(l.n):
         if l.energy[z] > exy:
-            terms.append(lk + beta * (g7 - (table.energy[x, z] - exy)))
+            terms.append(lk + beta * (g7 - (ex[z] - exy)))
     for z in decomps[level - 1].strict[m]:
-        terms.append(lk + beta * (g7 - (table.energy[z, y] - table.energy[z, m])))
+        terms.append(lk + beta * (g7 - (ey[z] - em[z])))
     return _logsumexp(terms)
 
 

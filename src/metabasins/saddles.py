@@ -10,7 +10,8 @@ outer boundary equal to the boundary state's energy.
 One energy-stamped union-find sweep (``Sweep``, the merge forest of the
 sublevel sets) answers every saddle question: ``saddle_table`` fills one
 block per link in the forest's leaf order, where every component is one
-interval, ``essential_saddle`` reads one pair from its root paths, and the
+interval, and holds the states z* only, since E(z*) is ``l.energy[state]``;
+``essential_saddle`` reads one pair from its root paths, and the
 valley layer, with a level's strict basins as labelled walls, asks it which
 basins a state's walled sublevel component borders. The sweep finds its own
 roots through a path-compressed finder kept beside the stamped forest, whose
@@ -49,13 +50,12 @@ class PathRecord:
 class SaddleTable:
     """All-pairs essential saddles.
 
-    ``state[a, b]`` is z*(a,b) and ``energy[a, b]`` its energy; both symmetric.
+    ``state[a, b]`` is z*(a,b), symmetric; its energy is ``l.energy[state[a, b]]``.
     The diagonal holds the convention z*(a,a) = a with energy E(a), which is
     what the bound evaluators need for the "start equals target" case.
     """
 
     state: np.ndarray
-    energy: np.ndarray
 
 
 class Sweep:
@@ -192,9 +192,7 @@ def saddle_table(l: Landscape) -> SaddleTable:
         hi = mid + size[b]
         block[lo:mid, mid:hi] = block[mid:hi, lo:mid] = via[b]
     np.fill_diagonal(block, sweep.order)
-    state = block[np.ix_(leaf, leaf)]
-    del block                               # at most two n x n arrays at once
-    return SaddleTable(state, l.energy[state])
+    return SaddleTable(block[np.ix_(leaf, leaf)])
 
 
 def essential_saddle(l: Landscape, r: int, s: int) -> tuple[int, float]:
@@ -333,10 +331,8 @@ def uphill_downhill_path(l: Landscape, frm: int, to: int, avoid=frozenset(),
     if frm == to:
         raise ValueError("frm == to")
     avoid = frozenset(avoid)
-    if table is None:
-        z, ez = essential_saddle(l, frm, to)
-    else:
-        z, ez = int(table.state[frm, to]), float(table.energy[frm, to])
+    z = essential_saddle(l, frm, to)[0] if table is None else int(table.state[frm, to])
+    ez = float(l.energy[z])
     if z in avoid:
         return None
     up = [frm] if z == frm else _monotone_leg(l, frm, z, avoid - {frm}, rising=True)

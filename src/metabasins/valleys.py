@@ -14,10 +14,11 @@ of the saddle-level sublevel set with every strict basin walled off: which
 basins it borders (proof in ``_Level.target``). The path clause is validated
 against literal path enumeration in the tests.
 
-Each level's metastable set is the next one's plus one bottom, so one backward
-pass over the deletion order reads one saddle-table column per level for its
-strict basins and least saddle energies. A level with a tied state builds one
-saddle sweep (``saddles.Sweep``), its strict basins as walls, for all its ties.
+Each level's metastable set is the next one's plus one bottom m, so one backward
+pass over the deletion order gathers the energies of one saddle-table column
+z*(., m) per level for its strict basins and least saddle energies. A level
+with a tied state builds one saddle sweep (``saddles.Sweep``), its strict
+basins as walls, for all its ties.
 """
 
 from __future__ import annotations
@@ -37,13 +38,13 @@ def strict_basin(l: Landscape, table: SaddleTable, M, m: int) -> frozenset[int]:
     M = frozenset(M)
     if m not in M:
         raise ValueError("m is not metastable at this level")
-    others = M - {m}
+    cols = [m, *(M - {m})]
     out = {m}
     for s in range(l.n):
         if s == m or s in M:
             continue
-        es = table.energy[s, m]
-        if all(es < table.energy[s, mp] for mp in others):
+        es, *others = l.energy[table.state[s, cols]]
+        if all(es < e for e in others):
             out.add(s)
     return frozenset(out)
 
@@ -61,7 +62,7 @@ def _suffixes(l: Landscape, table: SaddleTable, order) -> list[tuple]:
     strict: dict[int, frozenset[int]] = {}
     out = []
     for m in reversed(order):
-        e = table.energy[:, m]
+        e = l.energy[table.state[:, m]]
         changed = {m, *owner[e <= least].tolist()} - {-1}
         owner = np.where(e < least, m, np.where(e == least, -1, owner))
         least = np.minimum(e, least)
@@ -230,7 +231,8 @@ def build_tree(l: Landscape, f: Filtration, decomps: list[ValleyDecomposition],
                     link[s] = attracted_at[s][0]
                 else:
                     # pending minimum skipped by this layer: nearest coarse node
-                    link[s] = min(above, key=lambda k: (table.energy[s, k], l.energy[k], k))
+                    es = l.energy[table.state[s]]
+                    link[s] = min(above, key=lambda k: (es[k], l.energy[k], k))
         generations.append((level, nodes))
         parents.append(link)
     return ValleyTree(tuple(generations), tuple(parents))

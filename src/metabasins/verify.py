@@ -77,16 +77,16 @@ def c1_saddle_oracle(fx: FixtureSet) -> CriterionResult:
         table = saddle_table(l)
         sym_ok &= bool((table.state == table.state.T).all())
         n = l.n
+        e = l.energy[table.state]
         for a in range(n):
             for b in range(a + 1, n):
                 state, energy = reference.minimax_oracle(l, a, b)
                 checked += 1
-                if state != table.state[a, b] or energy != table.energy[a, b]:
+                if state != table.state[a, b] or energy != e[a, b]:
                     mismatches += 1
                 if (a + b) % 5 == 0:          # spot check the single-pair sweep too
                     if essential_saddle(l, a, b) != (state, energy):
                         mismatches += 1
-        e = table.energy
         for a in range(n):
             for b in range(n):
                 for u in range(n):
@@ -149,7 +149,8 @@ def _valley_invariants(l, f, table, decomps) -> str | None:
                 if s not in members and s not in M and level.target(s) == m:
                     return f"level {d.level}: attracted state {s} outside valley of {m}"
             for s in members:
-                if any(table.energy[s, mp] < table.energy[s, m] for mp in M):
+                e = l.energy[table.state[s]]
+                if any(e[mp] < e[m] for mp in M):
                     return f"level {d.level}: valley of {m} leaves the weak region"
         if d.level > 1:
             prev = decomps[d.level - 2]
@@ -162,7 +163,7 @@ def _valley_invariants(l, f, table, decomps) -> str | None:
             for s in outer_boundary(l, members):
                 if s not in d.nonassigned:
                     return f"level {d.level}: boundary state {s} is assigned"
-                if table.energy[s, m] != l.energy[s]:
+                if l.energy[table.state[s, m]] != l.energy[s]:
                     return f"level {d.level}: boundary saddle identity fails at {s}"
     return None
 
@@ -255,11 +256,12 @@ def c5_bound_domination(fx: FixtureSet) -> CriterionResult:
         for beta in betas:
             model = build_metropolis(fixture.l, beta)
             for x in range(fixture.l.n):
+                ex = fixture.l.energy[fixture.table.state[x]]
                 for y in range(fixture.l.n):
                     for z in range(fixture.l.n):
                         if len({x, y, z}) != 3:
                             continue
-                        if not (fixture.table.energy[x, z] > fixture.table.energy[x, y]):
+                        if not ex[z] > ex[y]:
                             continue
                         if fixture.table.state[x, z] == x:
                             continue

@@ -513,7 +513,7 @@ def _per_pair_exponents(l, ms, table):
         for mp in mlist:
             touches[(m, mp)] = mp in touched
             if mp != m:
-                D[(m, mp)] = float(table.energy[m, mp] - l.energy[gate])
+                D[(m, mp)] = float(l.energy[table.state[m, mp]] - l.energy[gate])
                 path = saddles.uphill_downhill_path(l, gate, mp, avoid[mp], table)
                 udh[(m, mp)] = path is not None
     return D, udh, touches

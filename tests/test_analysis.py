@@ -65,7 +65,7 @@ def test_epsilon_bound_random_domination(seed):
     found = 0
     for _ in range(60):
         x, y, z = (int(v) for v in rng.choice(l.n, size=3, replace=False))
-        if table.energy[x, z] <= table.energy[x, y] or table.state[x, z] == x:
+        if l.energy[table.state[x, z]] <= l.energy[table.state[x, y]] or table.state[x, z] == x:
             continue
         bound = analysis.epsilon_bound(l, x, y, z, beta, table)
         exact = hitting_probability(model, HittingQuery(x, {z}, {y}))
@@ -270,11 +270,12 @@ def test_return_probability_two_sided_bounds(seed):
         for _ in range(6):
             x, z = (int(v) for v in rng.choice(n, size=2, replace=False))
             exact = hitting_probability(model, HittingQuery(x, {z}, {x}))
-            lower = math.exp(-beta * (table.energy[x, z] - l.energy[x] + 5 * g)) / n
+            exz = l.energy[table.state[x, z]]
+            lower = math.exp(-beta * (exz - l.energy[x] + 5 * g)) / n
             assert lower <= exact * (1 + 1e-12)
             if table.state[x, z] != x:
                 upper = (analysis.k_beta(l, beta) / n
-                         * math.exp(min(-beta * (table.energy[x, z] - l.energy[x] - 2 * g), 500)))
+                         * math.exp(min(-beta * (exz - l.energy[x] - 2 * g), 500)))
                 assert exact <= upper * (1 + 1e-12)
 
 

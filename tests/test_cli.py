@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from metabasins import simulate, verify
 from metabasins.chain import build_metropolis
 from metabasins.cli import _json, _write_json, build_parser, main
-from metabasins.landscape import gen_random_landscape, load_landscape, save_landscape
+from metabasins.landscape import canonical, gen_random_landscape, load_landscape, save_landscape
 from metabasins.reference import _plain
 from metabasins.saddles import saddle_table
 
@@ -333,7 +333,7 @@ def test_csv_outputs_round_trip_with_scattered_labels(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["a", "b", "saddle", "energy"]
     assert rows[1:] == [[str(lab[a]), str(lab[b]), str(lab[table.state[a, b]]),
-                         f"{table.energy[a, b]:.12g}"]
+                         f"{l.energy[table.state[a, b]]:.12g}"]
                         for a in range(l.n) for b in range(a + 1, l.n)]
     assert run(["simulate", "--landscape", str(path), "--beta", "0.5", "--steps", "300",
                 "--out", str(out)]) == 0
@@ -469,3 +469,92 @@ def test_analyze_and_mb_outputs_pinned(tmp_path, name, capsys):
     digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
                for f in PINNED_ANALYZE_MB[name]}
     assert digests == PINNED_ANALYZE_MB[name]
+
+
+# Where the labels sit in each JSON output: "label" is one label (or null),
+# "labels" a set of labels (compared sorted), "order" a sequence of labels;
+# a dict keyed "<level>", "<label>" or "<pair>" maps every key of that kind
+RELABELLED = {
+    "filtration.json": {"M": {"<level>": "labels"}, "deletion_order": "order"},
+    "valleys.json": {"<level>": {
+        "exit_gate": {"<label>": "label"}, "nonassigned": "labels",
+        "pending": {"<label>": "labels"}, "strict": {"<label>": "labels"},
+        "valleys": {"<label>": "labels"}}},
+    "mb.json": {"mb1_margin": {"<label>": None}, "mb2_witnesses": {"<label>": "labels"},
+                "partition": {"<label>": "labels"}},
+    "phat.json": {"metastates": "labels", "rows": {"<label>": {"<label>": None}}},
+    "exponents.json": {name: {"<pair>": None} for name in ("D", "boundary", "limits", "udh")},
+}
+
+
+def _mapped(value, spec, back):
+    """``value`` with each label replaced by ``back[label]`` as ``spec`` places them."""
+    if spec == "label":
+        return None if value is None else back[value]
+    if spec == "labels":
+        return sorted(back[v] for v in value)
+    if spec == "order":
+        return [back[v] for v in value]
+    if spec is None:
+        return value
+    kind, inner = next(iter(spec.items()))
+    if kind == "<level>":
+        return {k: _mapped(v, inner, back) for k, v in value.items()}
+    if kind == "<label>":
+        return {str(back[int(k)]): _mapped(v, inner, back) for k, v in value.items()}
+    if kind == "<pair>":
+        def pair(key):
+            sep = "->" if "->" in key else "=>"
+            a, b = key.split(sep)
+            return f"{back[int(a)]}{sep}{back[int(b)]}"
+        return {pair(k): v for k, v in value.items()}
+    return {k: _mapped(v, spec.get(k), back) for k, v in value.items()}
+
+
+def _assert_close(a, b, where):
+    if isinstance(a, float) or isinstance(b, float):
+        assert math.isclose(a, b, rel_tol=1e-9), where
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for k in a:
+            _assert_close(a[k], b[k], f"{where}/{k}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), where
+        for k, (x, y) in enumerate(zip(a, b)):
+            _assert_close(x, y, f"{where}[{k}]")
+    else:
+        assert a == b, where
+
+
+@pytest.mark.parametrize("name", ["L14X", "rand60_0", "rand60_1", "rand60_2"])
+def test_outputs_invariant_under_relabelling(tmp_path, name, capsys):
+    # with distinct energies no output depends on the state numbering: save
+    # the landscape again under shuffled ids, and every output maps back
+    l = canonical(name) if name == "L14X" else gen_random_landscape(60, 4, 0.05, int(name[-1]))
+    assert len(set(l.energy.tolist())) == l.n
+    rng = np.random.default_rng(l.n)
+    ids = rng.choice(10 * l.n, size=l.n, replace=False).tolist()
+    back = dict(zip(ids, l.labels))
+    doc = {"states": [{"id": ids[s], "energy": float(l.energy[s])} for s in range(l.n)],
+           "edges": [[ids[a], ids[b]] for a, b in l.edges()]}
+    paths = {"orig": tmp_path / "orig.json", "shuffled": tmp_path / "shuffled.json"}
+    save_landscape(l, paths["orig"])
+    paths["shuffled"].write_text(json.dumps(doc))
+    assert load_landscape(paths["shuffled"]).labels != tuple(ids)
+    outputs = {}
+    for key, path in paths.items():
+        # L14X has a metabasin level at eps 2.5 (level 5), which fills mb.json
+        for command in (["analyze"], ["mb", "--eps", "2"], ["mb", "--eps", "2.5"],
+                        ["aggregate", "--beta", "5"]):
+            out = tmp_path / key / "_".join(command)
+            assert run([*command, "--landscape", str(path), "--out", str(out)]) == 0
+            outputs[key, out.name] = {f: json.loads((out / f).read_text())
+                                      for f in RELABELLED if (out / f).exists()}
+    same = dict(zip(l.labels, l.labels))
+    for (key, command), files in outputs.items():
+        if key == "shuffled":
+            assert files.keys() == outputs["orig", command].keys() != set()
+            for f, doc in files.items():
+                _assert_close(_mapped(doc, RELABELLED[f], back),
+                              _mapped(outputs["orig", command][f], RELABELLED[f], same),
+                              f"{command}/{f}")

@@ -36,14 +36,15 @@ def test_l6_saddles(L6):
     assert essential_saddle(L6.l, 0, 4) == (3, 6.0)
     # the saddle of an adjacent pair is the higher endpoint
     assert essential_saddle(L6.l, 5, 4) == (5, 4.0)
-    t = L6.table
-    assert t.energy[0, 2] == 5.0 and t.energy[2, 4] == 6.0 and t.energy[0, 4] == 6.0
+    e = L6.l.energy[L6.table.state]
+    assert e[0, 2] == 5.0 and e[2, 4] == 6.0 and e[0, 4] == 6.0
 
 
 def test_table_symmetric(L6, L14X):
     for fx in (L6, L14X):
         assert (fx.table.state == fx.table.state.T).all()
-        assert (fx.table.energy == fx.table.energy.T).all()
+        e = fx.l.energy[fx.table.state]
+        assert (e == e.T).all()
 
 
 def test_disconnected_landscape_raises():
@@ -54,20 +55,21 @@ def test_disconnected_landscape_raises():
 
 def test_self_saddle_convention(L6):
     assert L6.table.state[2, 2] == 2
-    assert L6.table.energy[2, 2] == 2.0
+    assert L6.l.energy[L6.table.state[2, 2]] == 2.0
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_oracle_equivalence_small(seed):
     l = gen_random_landscape(4 + seed % 7, 3, 0.05, seed=seed)
     t = saddle_table(l)
+    e = l.energy[t.state]
     for a in range(l.n):
         for b in range(a + 1, l.n):
             state, energy = reference.minimax_oracle(l, a, b)
             assert t.state[a, b] == state
-            assert t.energy[a, b] == energy
+            assert e[a, b] == energy
             # the single-pair reading of the sweep
-            assert essential_saddle(l, a, b) == (t.state[a, b], t.energy[a, b])
+            assert essential_saddle(l, a, b) == (t.state[a, b], e[a, b])
             # independent algorithm: minimax Dijkstra
             rec = minimax_path(l, a, b)
             assert rec.max_energy == energy
@@ -80,12 +82,11 @@ def test_table_matches_minimax_dijkstra_at_n300(seed):
     l = gen_random_landscape(300, 4, 0.05, seed=seed)
     t = saddle_table(l)
     assert (np.diag(t.state) == np.arange(l.n)).all()
-    assert (t.energy == l.energy[t.state]).all()
     rng = np.random.default_rng(seed)
     for _ in range(60):
         a, b = (int(v) for v in rng.choice(l.n, size=2, replace=False))
         rec = minimax_path(l, a, b)
-        assert t.energy[a, b] == rec.max_energy
+        assert l.energy[t.state[a, b]] == rec.max_energy
         assert t.state[a, b] == t.state[b, a] == max(rec.states, key=lambda s: l.energy[s])
 
 
@@ -93,11 +94,12 @@ def test_table_matches_minimax_dijkstra_at_n300(seed):
 def test_lattice_table_matches_minimax_dijkstra(seed):
     l = lattice(8, seed)
     t = saddle_table(l)
+    e = l.energy[t.state]
     assert (np.diag(t.state) == np.arange(l.n)).all()
     for a in range(l.n):
         for b in range(a + 1, l.n):
             rec = minimax_path(l, a, b)
-            assert t.energy[a, b] == t.energy[b, a] == rec.max_energy
+            assert e[a, b] == e[b, a] == rec.max_energy
             assert t.state[a, b] == t.state[b, a] == max(rec.states, key=lambda s: l.energy[s])
 
 
@@ -105,10 +107,11 @@ def test_lattice_table_matches_minimax_dijkstra(seed):
 def test_lattice_table_matches_path_enumeration(seed):
     l = lattice(3, seed)
     t = saddle_table(l)
+    e = l.energy[t.state]
     for a in range(l.n):
         for b in range(a + 1, l.n):
-            assert (t.state[a, b], t.energy[a, b]) == reference.minimax_oracle(l, a, b)
-            assert essential_saddle(l, a, b) == (t.state[a, b], t.energy[a, b])
+            assert (t.state[a, b], e[a, b]) == reference.minimax_oracle(l, a, b)
+            assert essential_saddle(l, a, b) == (t.state[a, b], e[a, b])
 
 
 def test_table_invariant_under_relabelling():
@@ -122,7 +125,7 @@ def test_table_invariant_under_relabelling():
         neighbors[p[v]] = tuple(sorted(int(p[u]) for u in nbrs))
     t, u = saddle_table(l), saddle_table(Landscape(energy, tuple(neighbors)))
     assert np.array_equal(u.state[np.ix_(p, p)], p[t.state])
-    assert np.array_equal(u.energy[np.ix_(p, p)], t.energy)
+    assert np.array_equal(energy[u.state][np.ix_(p, p)], l.energy[t.state])
 
 
 def _walled_sweeps():
@@ -161,7 +164,7 @@ def test_every_link_joins_adjacent_intervals_of_the_leaf_order(l, wall):
 @pytest.mark.parametrize("seed", range(20))
 def test_ultrametric_inequality(seed):
     l = gen_random_landscape(4 + seed % 6, 3, 0.05, seed=100 + seed)
-    e = saddle_table(l).energy
+    e = l.energy[saddle_table(l).state]
     n = l.n
     for a in range(n):
         for b in range(n):

@@ -1,9 +1,11 @@
 import ast
+import dataclasses
 import importlib
 import sys
 from pathlib import Path
 
 import metabasins
+from metabasins.saddles import SaddleTable
 
 SOURCES = sorted(Path(metabasins.__file__).parent.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
@@ -79,6 +81,12 @@ def test_saddle_table_fills_blocks():
     # per-link member arrays are built
     assert "saddles.saddle_table" in callers("fill_diagonal")
     assert "saddles.saddle_table" not in callers("array")
+
+
+def test_saddle_table_holds_states_only():
+    # E(z*(a, b)) is l.energy[state[a, b]], gathered where it is read, so the
+    # table keeps no second n x n array beside the saddle states
+    assert [f.name for f in dataclasses.fields(SaddleTable)] == ["state"]
 
 
 def scopes(tree):

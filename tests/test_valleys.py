@@ -54,7 +54,7 @@ def test_vectorised_strict_basins_match_per_state_loop(seed):
             M = f.M(i)
             assert strict == {m: strict_basin(l, table, M, m) for m in M}
             for s in range(l.n):
-                row = {m: table.energy[s, m] for m in M}
+                row = {m: l.energy[table.state[s, m]] for m in M}
                 assert least[s] == min(row.values())
                 tied = [m for m in M if row[m] == least[s]]
                 assert owner[s] == (tied[0] if len(tied) == 1 else -1)
@@ -89,13 +89,13 @@ def test_swept_connectivity_matches_sublevel_bfs(seed):
 
 
 def test_several_attracting_minima_raise(L6):
-    # a doctored table puts state 1's tied saddles below its own energy, which
-    # no saddle table of the landscape does
-    energy = L6.table.energy.copy()
+    # a doctored table puts state 1's tied saddles at state 4, below its own
+    # energy (E(4) = 0), which no saddle table of the landscape does
+    state = L6.table.state.copy()
     for m in (0, 2):
-        energy[1, m] = energy[m, 1] = 0.5
+        state[1, m] = state[m, 1] = 4
     with pytest.raises(ValueError, match="state 1 lies above its least saddle energy"):
-        decompose_all(L6.l, L6.f, SaddleTable(L6.table.state, energy))
+        decompose_all(L6.l, L6.f, SaddleTable(state))
 
 
 def _tied_twin(l, decimals=0):
@@ -157,7 +157,7 @@ def _per_triple_decompose(l, f, table):
         return v
 
     def target(M, strict, s):
-        row = {m: table.energy[s, m] for m in M}
+        row = {m: l.energy[table.state[s, m]] for m in M}
         least = min(row.values())
         tied = [m for m in sorted(M) if row[m] == least]
         hits = [m for m in tied if not any(connected(strict[m], s, mp, least)
@@ -427,7 +427,7 @@ def test_valley_shape_invariants(seed):
             assert d.strict[m] <= members
             for s in outer_boundary(l, members):
                 assert s in d.nonassigned
-                assert table.energy[s, m] == l.energy[s]
+                assert l.energy[table.state[s, m]] == l.energy[s]
         # saddle comparisons: strict basin states sit strictly closer to their
         # bottom, and cross-valley saddles dominate the bottom pair's saddle
         for m1, v1 in d.valley.items():
@@ -437,7 +437,7 @@ def test_valley_shape_invariants(seed):
                 for x1 in d.strict[m1]:
                     for x2 in v2:
                         assert table.state[x1, x2] != x1
-                        assert table.energy[x1, x2] >= table.energy[m1, m2]
+                        assert l.energy[table.state[x1, x2]] >= l.energy[table.state[m1, m2]]
 
 
 def test_attraction_dichotomy_small(L6):
@@ -455,7 +455,7 @@ def test_attraction_dichotomy_small(L6):
                         not d.strict[m].isdisjoint(p)
                         for p in cache.minimal_paths(x, y)
                     )
-                    assert all_hit or t.energy[x, y] > t.energy[x, m]
+                    assert all_hit or l.energy[t.state[x, y]] > l.energy[t.state[x, m]]
 
 
 def test_connectivity_params_l6(L6):
