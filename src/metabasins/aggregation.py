@@ -288,8 +288,10 @@ def escape_exponents(l: Landscape, ms: MetastateSpace, table: SaddleTable):
 
     reaches = [_checked_reaches(reach, m, gate, ms.nonassigned, ms.valley_of)
                for m, gate in zip(mlist, gates)]   # (Down(m), Up(gate)) per row
-    D = l.energy[table.state[np.ix_(mlist, mlist)]] - l.energy[gates][:, None]
-    z = table.state[np.ix_(gates, mlist)].tolist()
+    # column m' of z*, read at the bottoms and then at the gates
+    cols = np.array([table.column(m)[[*mlist, *gates]] for m in mlist], dtype=int).T
+    D = l.energy[cols[:len(mlist)]] - l.energy[gates][:, None]
+    z = cols[len(mlist):].tolist()
     udh = np.array([[s in up and s in reaches[b][0] for b, s in enumerate(row)]
                     for (_, up), row in zip(reaches, z)], dtype=bool).reshape(D.shape)
     np.fill_diagonal(D, -np.inf)
@@ -439,9 +441,9 @@ def _scan(l: Landscape, f: Filtration, decomps: list[ValleyDecomposition],
                 _checked_reaches(reach, m, gate, nonassigned, valley_of)
             if fresh or row[2] in left:
                 others = targets[targets != m]
-                e = l.energy[table.state[m, others]]
+                e = l.energy[table.column(m)[others]]
                 j = int(e.argmax())
-                up, z = reach(gate), table.state[gate, others].tolist()
+                up, z = reach(gate), table.column(gate)[others].tolist()
                 rows[m] = (gate, float(e[j] - energy[gate]), int(others[j]),
                            tuple(t for t, s in zip(others.tolist(), z)
                                  if s in up and s in reach(t)))

@@ -53,7 +53,8 @@ def k_beta(l: Landscape, beta: float) -> float:
 
 def log_epsilon(l: Landscape, table: SaddleTable, x: int, y: int, z: int, beta: float) -> float:
     """log of K(beta) e^{-beta(E(z*(x,z)) - E(z*(x,y)) - 7 gamma)}; y = x allowed."""
-    gap = float(l.energy[table.state[x, z]] - l.energy[table.state[x, y]])
+    ex = l.energy[table.column(x)]
+    gap = float(ex[z] - ex[y])
     return log_k_beta(l, beta) + beta * (7.0 * gamma_beta(l, beta) - gap)
 
 
@@ -62,9 +63,10 @@ def epsilon_bound(l: Landscape, x: int, y: int, z: int, beta: float,
     """Upper bound on P_x(tau_z < tau_y) when z's saddle is the higher one."""
     if len({x, y, z}) != 3:
         raise ValueError("x, y, z must be pairwise distinct")
-    if not l.energy[table.state[x, z]] > l.energy[table.state[x, y]]:
+    zx = table.column(x)
+    if not l.energy[zx[z]] > l.energy[zx[y]]:
         raise ValueError("requires E(z*(x,z)) > E(z*(x,y))")
-    if table.state[x, z] == x:
+    if zx[z] == x:
         raise ValueError("requires z*(x,z) != x")
     lv = log_epsilon(l, table, x, y, z, beta)
     return math.exp(lv) if lv <= 700.0 else math.inf
@@ -89,11 +91,11 @@ def _log_epsilon_tilde_link(l, table, decomps, x, m, y, beta, level) -> float:
     """One link of the chained bound: x attracted by m at the given level."""
     lk = log_k_beta(l, beta)
     g7 = 7.0 * gamma_beta(l, beta)
-    ex = l.energy[table.state[x]]
+    ex = l.energy[table.column(x)]
     exy, exm = ex[y], ex[m]
     if exy > exm:
         return lk + beta * (g7 - (exy - exm))
-    ey, em = l.energy[table.state[:, y]], l.energy[table.state[:, m]]
+    ey, em = l.energy[table.column(y)], l.energy[table.column(m)]
     terms = []
     for z in range(l.n):
         if l.energy[z] > exy:

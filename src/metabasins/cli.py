@@ -154,7 +154,7 @@ def cmd_analyze(args) -> int:
 
     def rows():
         for a in range(l.n - 1):
-            tail = map(add, head[a + 1:], map(cell.__getitem__, table.state[a, a + 1:].tolist()))
+            tail = map(add, head[a + 1:], map(cell.__getitem__, table.column(a)[a + 1:].tolist()))
             yield head[a] + head[a].join(tail)
 
     _write_csv(out / "saddles.csv", "a,b,saddle,energy", rows())

@@ -8,16 +8,17 @@ table symmetric and makes the saddle energy of a valley bottom to its own
 outer boundary equal to the boundary state's energy.
 
 One energy-stamped union-find sweep (``Sweep``, the merge forest of the
-sublevel sets) answers every saddle question: ``saddle_table`` fills one
-block per link in the forest's leaf order, where every component is one
-interval, and holds the states z* only, since E(z*) is ``l.energy[state]``;
-``essential_saddle`` reads one pair from its root paths, and the
-valley layer, with a level's strict basins as labelled walls, asks it which
-basins a state's walled sublevel component borders. The sweep finds its own
-roots through a path-compressed finder kept beside the stamped forest, whose
-root paths stay those of union by size. The tests check it against a
-minimax Dijkstra, a sublevel breadth-first search and path enumeration in
-``reference``. ``climb`` is the one climb search, behind the filtration and
+sublevel sets) answers every saddle question: ``saddle_table`` keeps the
+forest in its leaf order, where every component is one interval, and
+``SaddleTable.column`` reads z*(., m) from it in O(n), with no n x n array;
+E(z*) is ``l.energy[z]``, gathered where it is read. ``essential_saddle``
+reads one pair from one column, and the valley layer, with a level's strict
+basins as labelled walls, asks the sweep which basins a state's walled
+sublevel component borders. The sweep finds its own roots through a
+path-compressed finder kept beside the stamped forest, whose root paths stay
+those of union by size. The tests check it against a minimax Dijkstra, a
+sublevel breadth-first search and path enumeration in ``reference``.
+``climb`` is the one climb search, behind the filtration and
 ``activation_energy``. ``rising_reach`` is the strictly rising search of the
 metabasin scan, run once per start state and free of any level;
 ``uphill_downhill_path``, the per-pair search it replaced there, is kept as
@@ -48,14 +49,31 @@ class PathRecord:
 
 @dataclass(frozen=True, eq=False)
 class SaddleTable:
-    """All-pairs essential saddles.
+    """All-pairs essential saddles, read one column at a time.
 
-    ``state[a, b]`` is z*(a,b), symmetric; its energy is ``l.energy[state[a, b]]``.
-    The diagonal holds the convention z*(a,a) = a with energy E(a), which is
-    what the bound evaluators need for the "start equals target" case.
+    The merge forest of the sublevel sets in its leaf order: ``at[s]`` is
+    the place of state s, ``join[i]`` the index of the link that first joins
+    places i and i + 1, and ``via[j]`` the state that formed link j. Every
+    component at every link is one interval of places, so z*(a, b) is the
+    state of the latest link between the places lo < hi of a and b,
+    ``via[max(join[lo:hi])]``, a range maximum (Gabow, Bentley and Tarjan
+    1984). z*(a, a) = a, with energy E(a), the convention the bound
+    evaluators need for the "start equals target" case.
     """
 
-    state: np.ndarray
+    at: np.ndarray
+    join: np.ndarray
+    via: np.ndarray
+
+    def column(self, m: int) -> np.ndarray:
+        """z*(., m) in state order: one running maximum of ``join`` to each
+        side of m's place, read through ``via``; O(n)."""
+        p, join, via = self.at[m], self.join, self.via
+        col = np.empty(len(self.at), dtype=int)    # in leaf order
+        col[p] = m
+        col[p + 1:] = via[np.maximum.accumulate(join[p:])]
+        col[:p] = via[np.maximum.accumulate(join[:p][::-1])[::-1]]
+        return col[self.at]
 
 
 class Sweep:
@@ -75,9 +93,8 @@ class Sweep:
     ``order``, built on first use, lists the states so that every component at
     every link is one interval of it (the leaf order of the merge tree): a
     root's own leaf opens its interval, and a link appends the absorbed root's
-    interval right after its root's. So the link of b under a joins the
-    ``size[a]`` states just before ``b`` to the ``size[b]`` states that ``b``
-    opens (``size`` is final once a root is absorbed). The remaining roots'
+    interval right after its root's. So the link of b under a is the first to
+    join b's place and the place just before it. The remaining roots'
     intervals follow each other in increasing root order.
 
     A component touches a wall w through an edge (v, w) once both lie in the
@@ -159,14 +176,6 @@ class Sweep:
             v = parent[v]
         return v
 
-    def root_path(self, v: int) -> list[int]:
-        """v and the roots it was linked under, up to its final root."""
-        path = [v]
-        while self.parent[v] != v:
-            v = self.parent[v]
-            path.append(v)
-        return path
-
     def attractor(self, s: int, e: float) -> int | None:
         """The wall label bordering s's component of {E <= e} minus the walls,
         if it borders exactly one; None if it borders none or several (or if
@@ -176,42 +185,24 @@ class Sweep:
 
 
 def saddle_table(l: Landscape) -> SaddleTable:
-    """Block fill of one sweep in its leaf order: the link of root b under root
-    a first connects members(a) x members(b), two adjacent intervals of
-    ``order``, and those pairs get the state that formed it."""
+    """The one sweep's merge forest in its leaf order (see ``Sweep.order``)."""
     n = l.n
     sweep = Sweep(l)
     if len(sweep.links) < n - 1:
         raise LandscapeError("landscape not connected")
-    leaf = np.empty(n, dtype=int)           # state -> its place in the leaf order
-    leaf[sweep.order] = np.arange(n)
-    at, size, parent, via = leaf.tolist(), sweep.size, sweep.parent, sweep.via
-    block = np.empty((n, n), dtype=int)     # the table in leaf coordinates
-    for b in sweep.links:
-        lo, mid = at[parent[b]], at[b]
-        hi = mid + size[b]
-        block[lo:mid, mid:hi] = block[mid:hi, lo:mid] = via[b]
-    np.fill_diagonal(block, sweep.order)
-    return SaddleTable(block[np.ix_(leaf, leaf)])
+    at = np.empty(n, dtype=int)
+    at[sweep.order] = np.arange(n)
+    links = np.array(sweep.links, dtype=int)
+    join = np.empty(n - 1, dtype=int)
+    join[at[links] - 1] = np.arange(n - 1)
+    return SaddleTable(at, join, np.array(sweep.via)[links])
 
 
 def essential_saddle(l: Landscape, r: int, s: int) -> tuple[int, float]:
-    """Saddle of one pair, read from one sweep.
-
-    The root paths of r and s meet at the first root that held both; the
-    latest formed link below that point on either path connected the pair.
-    Stamps never decrease along the link order, and with distinct energies
-    links that share a stamp share their ``via``, so the highest stamp names it.
-    """
+    """Saddle of one pair: one column of a fresh table."""
     if r == s:
         raise ValueError("essential saddle of a state with itself is undefined")
-    sweep = Sweep(l)
-    up_r, up_s = sweep.root_path(r), sweep.root_path(s)
-    shared = set(up_r) & set(up_s)
-    if not shared:
-        raise ValueError("states not connected")
-    below = [v for v in up_r + up_s if v not in shared]
-    z = sweep.via[max(below, key=sweep.stamp.__getitem__)]
+    z = int(saddle_table(l).column(s)[r])
     return z, float(l.energy[z])
 
 
@@ -323,7 +314,7 @@ def uphill_downhill_path(l: Landscape, frm: int, to: int, avoid=frozenset(),
 
     Returns a PathRecord or None. ``avoid`` excludes intermediate states (the
     endpoints and the saddle must themselves be admissible). With ``table``
-    the saddle is read from it, otherwise one pair sweep finds it. The two
+    the saddle is read from it, otherwise ``essential_saddle`` finds it. The two
     monotone legs are searched separately; they can only meet at z*, since a
     shared state below E(z*) would join frm and to below their essential
     saddle, so any two legs form a path.
@@ -331,7 +322,7 @@ def uphill_downhill_path(l: Landscape, frm: int, to: int, avoid=frozenset(),
     if frm == to:
         raise ValueError("frm == to")
     avoid = frozenset(avoid)
-    z = essential_saddle(l, frm, to)[0] if table is None else int(table.state[frm, to])
+    z = essential_saddle(l, frm, to)[0] if table is None else int(table.column(to)[frm])
     ez = float(l.energy[z])
     if z in avoid:
         return None

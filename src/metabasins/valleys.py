@@ -15,10 +15,11 @@ basins it borders (proof in ``_Level.target``). The path clause is validated
 against literal path enumeration in the tests.
 
 Each level's metastable set is the next one's plus one bottom m, so one backward
-pass over the deletion order gathers the energies of one saddle-table column
-z*(., m) per level for its strict basins and least saddle energies. A level
-with a tied state builds one saddle sweep (``saddles.Sweep``), its strict
-basins as walls, for all its ties.
+pass over the deletion order reads one saddle-table column z*(., m) per level,
+O(n) from the merge forest's leaf order, for its strict basins and least
+saddle energies; no level reads a whole table. A level with a tied state
+builds one saddle sweep (``saddles.Sweep``), its strict basins as walls, for
+all its ties.
 """
 
 from __future__ import annotations
@@ -38,15 +39,11 @@ def strict_basin(l: Landscape, table: SaddleTable, M, m: int) -> frozenset[int]:
     M = frozenset(M)
     if m not in M:
         raise ValueError("m is not metastable at this level")
-    cols = [m, *(M - {m})]
-    out = {m}
-    for s in range(l.n):
-        if s == m or s in M:
-            continue
-        es, *others = l.energy[table.state[s, cols]]
-        if all(es < e for e in others):
-            out.add(s)
-    return frozenset(out)
+    e = l.energy[np.array([table.column(x) for x in [m, *(M - {m})]])]
+    inside = (e[0] < e[1:]).all(axis=0)
+    inside[list(M)] = False
+    # the bottom first, then increasing states, as ``_suffixes`` fills a basin
+    return frozenset({m, *np.flatnonzero(inside).tolist()})
 
 
 def _suffixes(l: Landscape, table: SaddleTable, order) -> list[tuple]:
@@ -62,7 +59,7 @@ def _suffixes(l: Landscape, table: SaddleTable, order) -> list[tuple]:
     strict: dict[int, frozenset[int]] = {}
     out = []
     for m in reversed(order):
-        e = l.energy[table.state[:, m]]
+        e = l.energy[table.column(m)]
         changed = {m, *owner[e <= least].tolist()} - {-1}
         owner = np.where(e < least, m, np.where(e == least, -1, owner))
         least = np.minimum(e, least)
@@ -231,7 +228,7 @@ def build_tree(l: Landscape, f: Filtration, decomps: list[ValleyDecomposition],
                     link[s] = attracted_at[s][0]
                 else:
                     # pending minimum skipped by this layer: nearest coarse node
-                    es = l.energy[table.state[s]]
+                    es = l.energy[table.column(s)]
                     link[s] = min(above, key=lambda k: (es[k], l.energy[k], k))
         generations.append((level, nodes))
         parents.append(link)

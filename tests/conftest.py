@@ -5,6 +5,12 @@ from metabasins.landscape import Landscape
 from metabasins.verifydata import FixtureBundle
 
 
+def dense(table):
+    """The n x n array of z*(a, b), from one column read per state: the tests'
+    one dense copy of a saddle table, built once per landscape."""
+    return np.array([table.column(m) for m in range(len(table.at))])
+
+
 @pytest.fixture(scope="session")
 def L6():
     return FixtureBundle.of("L6")

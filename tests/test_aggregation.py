@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -499,9 +500,10 @@ def test_valley_transition_rejects_adjacent_valleys(L6):
         exact_valley_transition(build_metropolis(L6.l, 1.0), ms, 0)
 
 
-def _per_pair_exponents(l, ms, table):
+def _per_pair_exponents(l, ms, table, zs):
     """D, udh and reachable of ``transition_exponents``, one ordered pair at a
-    time: the udh flag from ``uphill_downhill_path`` avoiding every other valley."""
+    time: D from ``zs``, the table's dense copy, and the udh flag from
+    ``uphill_downhill_path`` avoiding every other valley."""
     mlist = ms.valley_metastates
     avoid = {mp: frozenset().union(*(ms.valley_of[t] for t in mlist if t != mp))
              for mp in mlist}
@@ -513,7 +515,7 @@ def _per_pair_exponents(l, ms, table):
         for mp in mlist:
             touches[(m, mp)] = mp in touched
             if mp != m:
-                D[(m, mp)] = float(l.energy[table.state[m, mp]] - l.energy[gate])
+                D[(m, mp)] = float(l.energy[zs[m, mp]] - l.energy[gate])
                 path = saddles.uphill_downhill_path(l, gate, mp, avoid[mp], table)
                 udh[(m, mp)] = path is not None
     return D, udh, touches
@@ -544,9 +546,10 @@ def test_exponents_match_the_per_pair_search(L6, L14, L14X, random_scan_inputs):
     inputs = [(fx.l, fx.f, fx.table, fx.decomps, 1) for fx in (L6, L14, L14X)]
     compared = tied = found = no_limit = 0
     for l, f, table, decomps, step in inputs + random_scan_inputs:
+        zs = dense(table)
         for i in range(1, f.levels - 1, step):
             ms = metastate_space(decomps[i - 1], f)
-            D, udh, touches = _per_pair_exponents(l, ms, table)
+            D, udh, touches = _per_pair_exponents(l, ms, table, zs)
             mlist, escape_D, escape_udh = escape_exponents(l, ms, table)
             assert mlist == ms.valley_metastates
             assert (_pairs(mlist, escape_D), _pairs(mlist, escape_udh)) == (D, udh)
@@ -569,7 +572,7 @@ def _oracle_levels(l, f, decomps, table):
     """Per scan level: valley partition, D and udh pair dicts from the full
     ``transition_exponents``, or from the per-pair search at a level where the
     jump-chain limit does not exist (ties only)."""
-    levels = []
+    levels, zs = [], dense(table)
     for i in range(1, f.levels - 1):
         ms = metastate_space(decomps[i - 1], f)
         try:
@@ -577,7 +580,7 @@ def _oracle_levels(l, f, decomps, table):
             D, udh = _pairs(exps.metastables, exps.D), _pairs(exps.metastables, exps.udh)
         except ValueError as err:
             assert "equal energy" in str(err)
-            D, udh, _ = _per_pair_exponents(l, ms, table)
+            D, udh, _ = _per_pair_exponents(l, ms, table, zs)
         levels.append((i, ms.valley_metastates, dict(ms.valley_of), D, udh))
     return levels
 

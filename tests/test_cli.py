@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import dense
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -314,6 +315,30 @@ def test_json_emitter_rejects_what_json_rejects(bad):
         _json(bad, "\n")
 
 
+def test_one_state_landscape(tmp_path, capsys):
+    # one state and no edge: one level, no saddle pair and no metabasin
+    # level; the jump chain has no exit gate, so aggregate refuses
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"states": [{"id": 7, "energy": 1.5}], "edges": []}))
+    out = tmp_path / "out"
+    assert run(["analyze", "--landscape", str(path), "--out", str(out)]) == 0
+    assert run(["mb", "--landscape", str(path), "--eps", "0.5", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "no metabasin level of order 0.5\n"
+    assert (out / "saddles.csv").read_bytes() == b"a,b,saddle,energy\r\n"
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
+    assert digests == {
+        "filtration.json": "7a40e4358b98ee59082b0caa27caf188d582296bd3293ff48f7fe93d806c3093",
+        "mb.json": "437b0eab884ed9360258afe6529f4383ed277d2cce1fe98ee1f118deb80bc38a",
+        "saddles.csv": "36694e5b9f8074dfc44ce40cb464e26d09192462a64614e786edc09468078fd0",
+        "tree.dot": "4b1a329bdc64bc0de5d12debfaf73f220a61c210bf93c9646722bd3ec2dd93e9",
+        "valleys.json": "424071a51c72efa085df4d87151c734c5879dd5864a479e40f46ef87503cb82d",
+    }
+    agg = tmp_path / "agg"
+    assert run(["aggregate", "--landscape", str(path), "--beta", "5", "--out", str(agg)]) == 2
+    assert "has no exit gate" in capsys.readouterr().err
+    assert not agg.exists()
+
+
 def test_csv_outputs_round_trip_with_scattered_labels(tmp_path):
     # ids neither 0..n-1 nor in file order: every preformatted label cell must
     # sit on the row of its own state
@@ -327,13 +352,13 @@ def test_csv_outputs_round_trip_with_scattered_labels(tmp_path):
     assert l.labels == tuple(sorted(ids))
     out = tmp_path / "out"
     assert run(["analyze", "--landscape", str(path), "--out", str(out)]) == 0
-    table = saddle_table(l)
+    zs = dense(saddle_table(l))
     lab = l.labels
     with open(out / "saddles.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["a", "b", "saddle", "energy"]
-    assert rows[1:] == [[str(lab[a]), str(lab[b]), str(lab[table.state[a, b]]),
-                         f"{l.energy[table.state[a, b]]:.12g}"]
+    assert rows[1:] == [[str(lab[a]), str(lab[b]), str(lab[zs[a, b]]),
+                         f"{l.energy[zs[a, b]]:.12g}"]
                         for a in range(l.n) for b in range(a + 1, l.n)]
     assert run(["simulate", "--landscape", str(path), "--beta", "0.5", "--steps", "300",
                 "--out", str(out)]) == 0
@@ -526,11 +551,15 @@ def _assert_close(a, b, where):
         assert a == b, where
 
 
-@pytest.mark.parametrize("name", ["L14X", "rand60_0", "rand60_1", "rand60_2"])
+@pytest.mark.parametrize("name", ["L14X", "rand60_0", "rand60_1", "rand60_2", "rand300_1"])
 def test_outputs_invariant_under_relabelling(tmp_path, name, capsys):
     # with distinct energies no output depends on the state numbering: save
     # the landscape again under shuffled ids, and every output maps back
-    l = canonical(name) if name == "L14X" else gen_random_landscape(60, 4, 0.05, int(name[-1]))
+    if name == "L14X":
+        l = canonical(name)
+    else:
+        n, seed = name[4:].split("_")
+        l = gen_random_landscape(int(n), 4, 0.05, int(seed))
     assert len(set(l.energy.tolist())) == l.n
     rng = np.random.default_rng(l.n)
     ids = rng.choice(10 * l.n, size=l.n, replace=False).tolist()
@@ -541,7 +570,7 @@ def test_outputs_invariant_under_relabelling(tmp_path, name, capsys):
     save_landscape(l, paths["orig"])
     paths["shuffled"].write_text(json.dumps(doc))
     assert load_landscape(paths["shuffled"]).labels != tuple(ids)
-    outputs = {}
+    outputs, saddles = {}, {}
     for key, path in paths.items():
         # L14X has a metabasin level at eps 2.5 (level 5), which fills mb.json
         for command in (["analyze"], ["mb", "--eps", "2"], ["mb", "--eps", "2.5"],
@@ -550,7 +579,17 @@ def test_outputs_invariant_under_relabelling(tmp_path, name, capsys):
             assert run([*command, "--landscape", str(path), "--out", str(out)]) == 0
             outputs[key, out.name] = {f: json.loads((out / f).read_text())
                                       for f in RELABELLED if (out / f).exists()}
+        with open(tmp_path / key / "analyze" / "saddles.csv", newline="") as fh:
+            saddles[key] = list(csv.reader(fh))
     same = dict(zip(l.labels, l.labels))
+
+    def pairs(rows, back):
+        # one row per unordered pair: its saddle label and the saddle energy
+        assert rows[0] == ["a", "b", "saddle", "energy"] and len(rows) == 1 + l.n * (l.n - 1) // 2
+        return {frozenset((back[int(a)], back[int(b)])): (back[int(z)], e)
+                for a, b, z, e in rows[1:]}
+
+    assert pairs(saddles["shuffled"], back) == pairs(saddles["orig"], same)
     for (key, command), files in outputs.items():
         if key == "shuffled":
             assert files.keys() == outputs["orig", command].keys() != set()

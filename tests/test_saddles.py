@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import dense
 
 from metabasins import reference
 from metabasins.landscape import Landscape, LandscapeError, gen_random_landscape
@@ -36,14 +37,15 @@ def test_l6_saddles(L6):
     assert essential_saddle(L6.l, 0, 4) == (3, 6.0)
     # the saddle of an adjacent pair is the higher endpoint
     assert essential_saddle(L6.l, 5, 4) == (5, 4.0)
-    e = L6.l.energy[L6.table.state]
+    e = L6.l.energy[dense(L6.table)]
     assert e[0, 2] == 5.0 and e[2, 4] == 6.0 and e[0, 4] == 6.0
 
 
 def test_table_symmetric(L6, L14X):
     for fx in (L6, L14X):
-        assert (fx.table.state == fx.table.state.T).all()
-        e = fx.l.energy[fx.table.state]
+        state = dense(fx.table)
+        assert (state == state.T).all()
+        e = fx.l.energy[state]
         assert (e == e.T).all()
 
 
@@ -54,22 +56,22 @@ def test_disconnected_landscape_raises():
 
 
 def test_self_saddle_convention(L6):
-    assert L6.table.state[2, 2] == 2
-    assert L6.l.energy[L6.table.state[2, 2]] == 2.0
+    assert L6.table.column(2)[2] == 2
+    assert L6.l.energy[L6.table.column(2)[2]] == 2.0
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_oracle_equivalence_small(seed):
     l = gen_random_landscape(4 + seed % 7, 3, 0.05, seed=seed)
-    t = saddle_table(l)
-    e = l.energy[t.state]
+    t = dense(saddle_table(l))
+    e = l.energy[t]
     for a in range(l.n):
         for b in range(a + 1, l.n):
             state, energy = reference.minimax_oracle(l, a, b)
-            assert t.state[a, b] == state
+            assert t[a, b] == state
             assert e[a, b] == energy
             # the single-pair reading of the sweep
-            assert essential_saddle(l, a, b) == (t.state[a, b], e[a, b])
+            assert essential_saddle(l, a, b) == (t[a, b], e[a, b])
             # independent algorithm: minimax Dijkstra
             rec = minimax_path(l, a, b)
             assert rec.max_energy == energy
@@ -78,40 +80,58 @@ def test_oracle_equivalence_small(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_table_matches_minimax_dijkstra_at_n300(seed):
-    # the block fill of a 300-state sweep, far beyond the enumeration oracles
+    # the range maxima of a 300-state sweep, far beyond the enumeration oracles
     l = gen_random_landscape(300, 4, 0.05, seed=seed)
-    t = saddle_table(l)
-    assert (np.diag(t.state) == np.arange(l.n)).all()
+    t = dense(saddle_table(l))
+    assert (np.diag(t) == np.arange(l.n)).all()
     rng = np.random.default_rng(seed)
     for _ in range(60):
         a, b = (int(v) for v in rng.choice(l.n, size=2, replace=False))
         rec = minimax_path(l, a, b)
-        assert l.energy[t.state[a, b]] == rec.max_energy
-        assert t.state[a, b] == t.state[b, a] == max(rec.states, key=lambda s: l.energy[s])
+        assert l.energy[t[a, b]] == rec.max_energy
+        assert t[a, b] == t[b, a] == max(rec.states, key=lambda s: l.energy[s])
 
 
 @pytest.mark.parametrize("seed", range(2))
 def test_lattice_table_matches_minimax_dijkstra(seed):
     l = lattice(8, seed)
-    t = saddle_table(l)
-    e = l.energy[t.state]
-    assert (np.diag(t.state) == np.arange(l.n)).all()
+    t = dense(saddle_table(l))
+    e = l.energy[t]
+    assert (np.diag(t) == np.arange(l.n)).all()
     for a in range(l.n):
         for b in range(a + 1, l.n):
             rec = minimax_path(l, a, b)
             assert e[a, b] == e[b, a] == rec.max_energy
-            assert t.state[a, b] == t.state[b, a] == max(rec.states, key=lambda s: l.energy[s])
+            assert t[a, b] == t[b, a] == max(rec.states, key=lambda s: l.energy[s])
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_lattice_table_matches_path_enumeration(seed):
     l = lattice(3, seed)
-    t = saddle_table(l)
-    e = l.energy[t.state]
+    t = dense(saddle_table(l))
+    e = l.energy[t]
     for a in range(l.n):
         for b in range(a + 1, l.n):
-            assert (t.state[a, b], e[a, b]) == reference.minimax_oracle(l, a, b)
-            assert essential_saddle(l, a, b) == (t.state[a, b], e[a, b])
+            assert (t[a, b], e[a, b]) == reference.minimax_oracle(l, a, b)
+            assert essential_saddle(l, a, b) == (t[a, b], e[a, b])
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 14, 20, 30])
+def test_single_pair_reading_matches_the_table_on_ties(n):
+    # with tied energies several states can top a minimax path; the one pair
+    # read and the table name the same one, at the minimax energy
+    for s in range(10):
+        base = gen_random_landscape(n, 4, 0.05, s)
+        for decimals in (0, 1):
+            l = Landscape(np.round(base.energy, decimals), base.neighbors)
+            t = saddle_table(l)
+            for b in range(0, l.n, 1 + l.n // 10):
+                column = t.column(b)
+                for a in range(l.n):
+                    if a != b:
+                        z, energy = essential_saddle(l, a, b)
+                        assert z == column[a]
+                        assert energy == minimax_path(l, a, b).max_energy
 
 
 def test_table_invariant_under_relabelling():
@@ -123,9 +143,9 @@ def test_table_invariant_under_relabelling():
     neighbors = [()] * l.n
     for v, nbrs in enumerate(l.neighbors):
         neighbors[p[v]] = tuple(sorted(int(p[u]) for u in nbrs))
-    t, u = saddle_table(l), saddle_table(Landscape(energy, tuple(neighbors)))
-    assert np.array_equal(u.state[np.ix_(p, p)], p[t.state])
-    assert np.array_equal(energy[u.state][np.ix_(p, p)], l.energy[t.state])
+    t, u = dense(saddle_table(l)), dense(saddle_table(Landscape(energy, tuple(neighbors))))
+    assert np.array_equal(u[np.ix_(p, p)], p[t])
+    assert np.array_equal(energy[u][np.ix_(p, p)], l.energy[t])
 
 
 def _walled_sweeps():
@@ -164,7 +184,7 @@ def test_every_link_joins_adjacent_intervals_of_the_leaf_order(l, wall):
 @pytest.mark.parametrize("seed", range(20))
 def test_ultrametric_inequality(seed):
     l = gen_random_landscape(4 + seed % 6, 3, 0.05, seed=100 + seed)
-    e = l.energy[saddle_table(l).state]
+    e = l.energy[dense(saddle_table(l))]
     n = l.n
     for a in range(n):
         for b in range(n):
@@ -254,6 +274,7 @@ def test_uphill_downhill_matches_unimodal_oracle(seed):
     l = gen_random_landscape(5 + seed % 4, 3, 0.05, seed=400 + seed)
     cache = reference.PathCache(l)
     table = saddle_table(l)
+    zs = dense(table)
     rng = np.random.default_rng(seed)
     for _ in range(6):
         a, b = (int(v) for v in rng.choice(l.n, size=2, replace=False))
@@ -268,5 +289,5 @@ def test_uphill_downhill_matches_unimodal_oracle(seed):
             p = rec.states
             assert (p[0], p[-1]) == (a, b) and avoid.isdisjoint(p[1:-1])
             assert all(v in l.neighbors[u] for u, v in zip(p, p[1:]))
-            assert reference.path_max(l, p) == (rec.max_energy, table.state[a, b])
+            assert reference.path_max(l, p) == (rec.max_energy, zs[a, b])
             assert reference.path_climb(l, p) == pytest.approx(rec.activation, abs=1e-12)

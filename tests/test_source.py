@@ -76,17 +76,24 @@ def test_one_heap_search():
     assert sorted(callers("heappop")) == ["reference.minimax_path", "saddles.climb"]
 
 
-def test_saddle_table_fills_blocks():
-    # the table is filled one block per link in the sweep's leaf order, so no
-    # per-link member arrays are built
-    assert "saddles.saddle_table" in callers("fill_diagonal")
-    assert "saddles.saddle_table" not in callers("array")
+def test_saddle_table_fills_by_whole_array_passes():
+    # the table is the sweep's merge forest in its leaf order, filled from the
+    # link list in whole-array passes: no per-link loop, and no block fill or
+    # reorder of an n x n array
+    fill = next(fn for scope, fn in scopes(TREES["saddles.py"]) if scope == "saddle_table")
+    assert [node for node in ast.walk(fill)
+            if isinstance(node, (ast.For, ast.While, ast.comprehension))] == []
+    assert [c for c in callers("fill_diagonal", "ix_") if c.startswith("saddles.")] == []
 
 
-def test_saddle_table_holds_states_only():
-    # E(z*(a, b)) is l.energy[state[a, b]], gathered where it is read, so the
-    # table keeps no second n x n array beside the saddle states
-    assert [f.name for f in dataclasses.fields(SaddleTable)] == ["state"]
+def test_saddle_table_holds_states_only(L14X):
+    # E(z*(a, b)) is l.energy[z], gathered where it is read, and z*(a, b) is
+    # read one column at a time from three length-n arrays: each state's place
+    # in the leaf order, the link joining each two neighbouring places, and
+    # the state that formed each link
+    assert [f.name for f in dataclasses.fields(SaddleTable)] == ["at", "join", "via"]
+    t, n = L14X.table, L14X.l.n
+    assert [a.shape for a in (t.at, t.join, t.via)] == [(n,), (n - 1,), (n - 1,)]
 
 
 def scopes(tree):
@@ -109,12 +116,12 @@ def callers(*names):
 
 
 def test_merge_forest_built_only_for_saddles_and_ties():
-    # the one union-find is built for the saddle table, one pair's saddle and
-    # a level's tie test; the valley layer builds it once per level at most
+    # the one union-find is built for the saddle table and a level's tie
+    # test; the valley layer builds it once per level at most, and one pair's
+    # saddle is read from a fresh table
     builders = callers("Sweep")
     assert len(calls("Sweep")) == len(builders)
-    assert sorted(builders) == ["saddles.essential_saddle", "saddles.saddle_table",
-                                "valleys._Level.__init__"]
+    assert sorted(builders) == ["saddles.saddle_table", "valleys._Level.__init__"]
 
 
 def test_level_reads_one_column_per_set():
@@ -148,12 +155,14 @@ def test_defaults_only_where_callers_differ():
 
 def test_commands_build_the_table_filtration_and_decomposition():
     # the commands and the acceptance fixtures build each structure once and
-    # pass it down; c1 and c2 build their own for the random instances they draw
+    # pass it down; c1 and c2 build their own for the random instances they
+    # draw, and essential_saddle one for the pair it is asked
     for name in ("saddle_table", "scoppola_filtration", "decompose_all"):
         assert len(calls(name)) == len(callers(name))
     fixtures = ["cli.cmd_aggregate", "cli.cmd_analyze", "cli.cmd_mb", "verify.c2_valley_oracle",
                 "verifydata.FixtureBundle.of"]
-    assert sorted(callers("saddle_table")) == sorted(fixtures + ["verify.c1_saddle_oracle"])
+    assert sorted(callers("saddle_table")) == sorted(
+        fixtures + ["saddles.essential_saddle", "verify.c1_saddle_oracle"])
     assert sorted(callers("scoppola_filtration")) == fixtures
     assert sorted(callers("decompose_all")) == sorted(fixtures + ["reference.decompose"])
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import dense
 
 from metabasins import reference, valleys
 from metabasins.filtration import scoppola_filtration
@@ -48,13 +49,14 @@ def test_vectorised_strict_basins_match_per_state_loop(seed):
     for l in (base, _tied_twin(base, 1)):
         f = scoppola_filtration(l)
         table = saddle_table(l)
+        e = l.energy[dense(table)]
         rows = _suffixes(l, table, f.deletion_order)
         assert len(rows) == f.levels
         for i, (owner, least, strict) in enumerate(rows, start=1):
             M = f.M(i)
             assert strict == {m: strict_basin(l, table, M, m) for m in M}
             for s in range(l.n):
-                row = {m: l.energy[table.state[s, m]] for m in M}
+                row = {m: e[s, m] for m in M}
                 assert least[s] == min(row.values())
                 tied = [m for m in M if row[m] == least[s]]
                 assert owner[s] == (tied[0] if len(tied) == 1 else -1)
@@ -90,12 +92,12 @@ def test_swept_connectivity_matches_sublevel_bfs(seed):
 
 def test_several_attracting_minima_raise(L6):
     # a doctored table puts state 1's tied saddles at state 4, below its own
-    # energy (E(4) = 0), which no saddle table of the landscape does
-    state = L6.table.state.copy()
-    for m in (0, 2):
-        state[1, m] = state[m, 1] = 4
+    # energy (E(4) = 0), which no saddle table of the landscape does: the
+    # links that state 1 formed, to 0 and to 2, are said to be formed by 4
+    t = L6.table
+    assert (t.via == 1).sum() == 2
     with pytest.raises(ValueError, match="state 1 lies above its least saddle energy"):
-        decompose_all(L6.l, L6.f, SaddleTable(state))
+        decompose_all(L6.l, L6.f, SaddleTable(t.at, t.join, np.where(t.via == 1, 4, t.via)))
 
 
 def _tied_twin(l, decimals=0):
@@ -131,6 +133,7 @@ def _per_triple_decompose(l, f, table):
     competitor): s is attracted by a tied minimizer m when no competitor
     connects to s below the least saddle energy outside m's strict basin."""
     energy = l.energy.tolist()
+    saddle_energy = l.energy[dense(table)]
     forests = {}
 
     def connected(avoid, s, t, e):
@@ -157,7 +160,7 @@ def _per_triple_decompose(l, f, table):
         return v
 
     def target(M, strict, s):
-        row = {m: l.energy[table.state[s, m]] for m in M}
+        row = {m: saddle_energy[s, m] for m in M}
         least = min(row.values())
         tied = [m for m in sorted(M) if row[m] == least]
         hits = [m for m in tied if not any(connected(strict[m], s, mp, least)
@@ -415,6 +418,7 @@ def test_valley_shape_invariants(seed):
     l = gen_random_landscape(5 + seed % 6, 3, 0.05, seed=8000 + seed)
     f = scoppola_filtration(l)
     table = saddle_table(l)
+    zs = dense(table)
     decomps = decompose_all(l, f, table)
     for d in decomps:
         assigned = d.assigned_valleys()
@@ -427,7 +431,7 @@ def test_valley_shape_invariants(seed):
             assert d.strict[m] <= members
             for s in outer_boundary(l, members):
                 assert s in d.nonassigned
-                assert l.energy[table.state[s, m]] == l.energy[s]
+                assert l.energy[zs[s, m]] == l.energy[s]
         # saddle comparisons: strict basin states sit strictly closer to their
         # bottom, and cross-valley saddles dominate the bottom pair's saddle
         for m1, v1 in d.valley.items():
@@ -436,14 +440,14 @@ def test_valley_shape_invariants(seed):
                     continue
                 for x1 in d.strict[m1]:
                     for x2 in v2:
-                        assert table.state[x1, x2] != x1
-                        assert l.energy[table.state[x1, x2]] >= l.energy[table.state[m1, m2]]
+                        assert zs[x1, x2] != x1
+                        assert l.energy[zs[x1, x2]] >= l.energy[zs[m1, m2]]
 
 
 def test_attraction_dichotomy_small(L6):
     # for attracted x and outside y: either every minimal path hits the strict
     # basin, or the saddle to y is strictly above the saddle to the bottom
-    l, t = L6.l, L6.table
+    l, t = L6.l, dense(L6.table)
     cache = reference.PathCache(l)
     for d in L6.decomps:
         for m, members in d.valley.items():
@@ -455,7 +459,7 @@ def test_attraction_dichotomy_small(L6):
                         not d.strict[m].isdisjoint(p)
                         for p in cache.minimal_paths(x, y)
                     )
-                    assert all_hit or l.energy[t.state[x, y]] > l.energy[t.state[x, m]]
+                    assert all_hit or l.energy[t[x, y]] > l.energy[t[x, m]]
 
 
 def test_connectivity_params_l6(L6):
