@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import TransitionModel, _absorbing_solve, off_diagonal_row_sums
+from .chain import TransitionModel, _absorbing_solve
 from .filtration import Filtration
 from .landscape import Landscape, reachable
 from .saddles import SaddleTable, rising_reach
@@ -162,7 +162,7 @@ def exact_jump_distribution(model: TransitionModel, ms: MetastateSpace, r: int) 
     P = model.P
     out: dict[int, float] = {}
     if r in ms.nonassigned:
-        mass = off_diagonal_row_sums(P, [r])[0]
+        mass = model.exit[r]
         for t in model.landscape.neighbors[r]:
             m = int(ms.rep_of[t])
             out[m] = out.get(m, 0.0) + P[r, t] / mass
@@ -514,7 +514,7 @@ def semi_markov_kernel(model: TransitionModel, ms: MetastateSpace,
         raise ValueError(f"triple ({x},{y},{z}) is not feasible")
 
     if y in ms.nonassigned:
-        success = float(off_diagonal_row_sums(model.P, [y])[0])
+        success = float(model.exit[y])
         q = 1.0 - success
 
         def pmf(t: int, q=q, success=success) -> float:

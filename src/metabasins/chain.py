@@ -6,12 +6,17 @@ The kernel is the lazy Metropolis chain
     p(r,r) = 1 - sum of the above,
 
 with C(r) = |N(r)| + 1 so that p(r,r) > 0 on every graph. ``P`` holds it
-dense for the exact solvers below. ``rows`` lists per state r the states r can
-move to (r included, in index order) with p(r, .) read from ``P``; it feeds
-``simulate.JumpWalker`` and ``aggregate``'s transition_matrix.csv. At large
-beta the entry of a move can underflow to 0.0, and the kernel's graph is then
-no longer the landscape's; ``check_moves`` names the first such move (the CLI
-runs it after each build). Hitting quantities use the first-return convention
+dense for the exact solvers below. The same entries are kept as one flat row
+table: row r is ``to[indptr[r]:indptr[r + 1]]``, the states r can move to (r
+included, ascending), with their entries in ``p``; ``row(r)`` returns the two
+views. ``exit`` holds each row's off-diagonal sum, 1 - p(r,r) without
+cancellation. The row table feeds ``simulate.JumpWalker``, ``check_moves``
+and ``aggregate``'s transition_matrix.csv. ``build_metropolis`` fills all of
+it by whole-array passes; each move's entry is ``math.exp`` of its exponent,
+not ``np.exp``, whose SIMD kernels can differ from libm in the last bit. At
+large beta the entry of a move can underflow to 0.0, and the kernel's graph
+is then no longer the landscape's; ``check_moves`` names the first such move
+(the CLI runs it after each build). Hitting quantities use the first-return convention
 tau_A = inf{n >= 1 : X_n in A}; when the start state lies in A or B one
 explicit first step is taken before reading the absorption values.
 
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -57,11 +63,19 @@ class TransitionModel:
     P: np.ndarray                    # row-stochastic kernel
     gamma_beta: float
     pi: np.ndarray                   # stationary distribution
-    rows: tuple[tuple[np.ndarray, np.ndarray], ...]   # per r: (states r moves to, p(r, .))
+    indptr: np.ndarray               # row r of the table is indptr[r]:indptr[r + 1]
+    to: np.ndarray                   # the states each r moves to, r included, ascending
+    p: np.ndarray                    # p(r, .) on them
+    exit: np.ndarray                 # 1 - p(r,r), as the off-diagonal row sum
 
     @property
     def n(self) -> int:
         return self.landscape.n
+
+    def row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """The states r moves to, r included and ascending, and p(r, .) on them."""
+        a, b = self.indptr[r], self.indptr[r + 1]
+        return self.to[a:b], self.p[a:b]
 
 
 def gamma_beta(l: Landscape, beta: float) -> float:
@@ -77,19 +91,27 @@ def build_metropolis(l: Landscape, beta: float) -> TransitionModel:
         raise ValueError("beta must be positive")
     n = l.n
     energy = l.energy
-    C = np.array([len(nb) + 1 for nb in l.neighbors], dtype=float)
+    degree = np.fromiter(map(len, l.neighbors), dtype=np.intp, count=n)
+    C = degree + 1.0
+    states = np.arange(n)
+    src = np.repeat(states, degree)
+    dst = np.fromiter(chain.from_iterable(l.neighbors), dtype=np.intp, count=len(src))
+    exponent = -beta * np.maximum(energy[dst] - energy[src], 0.0)
     P = np.zeros((n, n))
-    rows = []
-    for r in range(n):
-        for s in l.neighbors[r]:
-            P[r, s] = math.exp(-beta * max(energy[s] - energy[r], 0.0)) / C[r]
-        P[r, r] = 1.0 - P[r].sum()
-        to = np.array(sorted((*l.neighbors[r], r)), dtype=int)
-        rows.append((to, P[r, to]))
+    P[src, dst] = np.fromiter(map(math.exp, exponent.tolist()), dtype=float,
+                              count=len(src)) / C[src]
+    exit_mass = P.sum(axis=1)   # before the diagonal is set, so the off-diagonal sum
+    P[states, states] = 1.0 - exit_mass
+    # the row table: moves and diagonal entries, by r and then by the state moved to
+    src, dst = np.concatenate([src, states]), np.concatenate([dst, states])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    indptr = np.concatenate([[0], np.cumsum(degree + 1)])
     # pi(r) proportional to C(r) exp(-beta E(r)); shift by the minimum for stability
     w = C * np.exp(-beta * (energy - energy.min()))
     pi = w / w.sum()
-    return TransitionModel(l, float(beta), C, P, gamma_beta(l, beta), pi, tuple(rows))
+    return TransitionModel(l, float(beta), C, P, gamma_beta(l, beta), pi,
+                           indptr, dst, P[src, dst], exit_mass)
 
 
 class LostMoveError(ValueError):
@@ -106,12 +128,12 @@ def check_moves(model: TransitionModel) -> None:
     """Raise ``LostMoveError`` for the first neighbour pair (r, s), by r and
     then s, whose kernel entry is exactly 0.0; the pair is named by labels.
     p(r, r) >= 1/C(r) up to rounding, so only a move can be 0.0."""
-    if (np.concatenate([p for _, p in model.rows]) > 0.0).all():
+    if (model.p > 0.0).all():
         return
+    k = np.flatnonzero(model.p == 0.0)[0]   # the row table runs by r, then by s
+    r = int(np.searchsorted(model.indptr, k, side="right")) - 1
     labels = model.landscape.labels
-    r, s = next((r, int(to[p == 0.0][0])) for r, (to, p) in enumerate(model.rows)
-                if not p.all())
-    raise LostMoveError(labels[r], labels[s], model.beta)
+    raise LostMoveError(labels[r], labels[model.to[k]], model.beta)
 
 
 def off_diagonal_row_sums(P: np.ndarray, rows) -> np.ndarray:

@@ -203,9 +203,11 @@ def cmd_aggregate(args) -> int:
         "rows": {str(lab[m]): {str(lab[s]): p for s, p in zip(jc.metastates, row) if p > 0}
                  for m, row in zip(jc.metastates, jc.phat.tolist())},
     })
+    moves = model.p > 0
+    frm = np.repeat(np.arange(l.n), np.diff(model.indptr))[moves]
     _write_csv(Path(args.out) / "transition_matrix.csv", "from,to,p", (
         f"{lab[a]},{lab[b]},{q:.12g}\r\n"
-        for a, (to, p) in enumerate(model.rows) for b, q in zip(to, p) if q > 0))
+        for a, b, q in zip(frm.tolist(), model.to[moves].tolist(), model.p[moves].tolist())))
     mlist, D, udh = escape_exponents(l, ms, table)
     _, limits = valley_transition_limits(ms, jc)
     pairs = [(a, b, f"{lab[m]}->{lab[mp]}") for a, m in enumerate(mlist)

@@ -7,7 +7,8 @@ hitting races, exit times and for the block structure below, while staying
 feasible at large beta where the lazy chain would sit still for e^{50+} steps.
 
 One class, ``JumpWalker``, walks both chains on step tables built once per
-model from the kernel's row table (``TransitionModel.rows``), each replica on
+model from the kernel's flat row table (``TransitionModel.to`` and ``p``), by
+whole-array passes over its padded rows, each replica on
 its own buffered uniform stream, and one scalar loop steps on either table.
 The loop iterates over the stream's listed chunk in place and checks each
 uniform first against the state's hold interval, the uniforms that keep the
@@ -54,7 +55,7 @@ from itertools import islice
 import numpy as np
 
 from .aggregation import MetastateSpace, project_trajectory
-from .chain import TransitionModel, off_diagonal_row_sums
+from .chain import TransitionModel
 from .valleys import ValleyDecomposition
 
 
@@ -92,11 +93,6 @@ class NoExitError(ValueError):
         self.state = state
 
 
-def _pinned(cums: np.ndarray) -> list[float]:
-    """``cums`` as a list whose last value, if it has one, is exactly 1.0."""
-    return cums[:-1].tolist() + [1.0] * bool(len(cums))
-
-
 # A window reads one table entry per state per step, so its cost grows with
 # n while the scalar rule's does not. On gen_random_landscape(n, 4, 0.05, 1)
 # at beta 3 (200,000-step walks) the window is 10-13% faster than the scalar
@@ -115,17 +111,21 @@ CELLS = 4096            # equal cells of [0, 1) that look up a uniform's symbol
 class JumpWalker:
     """Lazy and embedded chain of one model, walked on a buffered uniform stream.
 
-    ``JumpWalker(model)`` builds its tables from ``model.rows``: per state r,
-    the row's states and r's neighbours with their cumulative lazy and embedded
-    probabilities (each list pinned to end in exactly 1.0, and the lazy ones
-    then lowered by one ulp), p(r, r), and r's hold interval (lo, hi]: with k
-    the index of r in its lazy row, hi is the row's lowered value at k and lo
-    the one before it, or -1.0 when k = 0. A uniform u keeps the lazy walk at
-    r exactly when lo < u <= hi; jump rows have the empty interval
-    (-1.0, -1.0). A state whose exit probability is
-    0 (no neighbours, or every exit underflowed) has an empty embedded row and
-    no jump targets; ``walk``, ``step`` and ``holding`` raise ``NoExitError``
-    from it, while lazy steps stay there.
+    ``JumpWalker(model)`` builds its tables from the kernel's flat row table
+    (``model.indptr``, ``to``, ``p``), every row zero-padded to the longest,
+    by one cumsum along the rows for each chain: per state r, the row's states
+    and r's neighbours with their cumulative lazy and embedded probabilities
+    (each row pinned to end in exactly 1.0, the embedded ones divided by
+    ``model.exit`` first and the lazy ones then lowered by one ulp), p(r, r),
+    and r's hold interval (lo, hi]: with k the index of r in its lazy row, hi
+    is the row's lowered value at k and lo the one before it, or -1.0 when
+    k = 0. A uniform u keeps the lazy walk at r exactly when lo < u <= hi;
+    jump rows have the empty interval (-1.0, -1.0). No step reads a row past
+    its pinned end, so the padding stays unread: a uniform is below 1.0. A
+    state whose exit probability is 0 (no neighbours, or every exit
+    underflowed) has an embedded row of -inf, which every scan runs off;
+    ``walk``, ``step`` and ``holding`` raise ``NoExitError`` from it, while
+    lazy steps stay there.
 
     ``stream(rng)`` returns a walker on the same tables with its own stream:
     an empty buffer refilled from ``rng`` in chunks of 64 values, growing
@@ -144,31 +144,54 @@ class JumpWalker:
     G is the sorted set of every embedded cumulative value, u has the symbol
     #(G < u), and M[r, s] is the neighbour of s that the scalar rule picks
     for every u in (G[r-1], G[r]]. Column n is a sentinel state that every
-    empty row leads to and never leaves. A uniform in one of ``CELLS`` equal
+    row without exit leads to and never leaves. A uniform in one of ``CELLS`` equal
     cells of [0, 1) that holds no value of G has the cell's symbol; the
     others are searched in G.
     """
 
     def __init__(self, model: TransitionModel):
         n = model.n
-        self._to = [to.tolist() for to, _ in model.rows]
+        states = np.arange(n)
+        length = np.diff(model.indptr)
+        row = np.repeat(states, length)
+        col = np.arange(len(row)) - model.indptr[row]
+        own = np.flatnonzero(model.to == row)   # r's own entry in the row table
+        k = own - model.indptr[:-1]
+        # every row padded to one width: the targets with the sentinel n, the
+        # entries with zeros, so one cumsum along the rows is each row's own
+        width = int(length.max())
+        to = np.full((n, width), n)
+        to[row, col] = model.to
+        p = np.zeros((n, width))
+        p[row, col] = model.p
+        lazy = np.cumsum(p, axis=1)
+        lazy[states, length - 1] = 1.0
         # one ulp lower: the first value that reaches u is the first pinned
-        # one that exceeds u, so the jump loop's rule takes the lazy step
-        self._lazy = [np.nextafter(_pinned(np.cumsum(p)), -1.0).tolist() for _, p in model.rows]
+        # one that exceeds u, so the jump loop's rule takes the lazy step.
+        # The last value is then above every uniform, so no scan reads the
+        # padding
+        lazy = np.nextafter(lazy, -1.0)
+        self._to, self._lazy = to.tolist(), lazy.tolist()
         # the uniforms u in (lo, hi] that keep a lazy walk at r: those for
         # which the scan picks r's own entry. Jump rows have none.
-        self._held = []
-        for r, (to, row) in enumerate(zip(self._to, self._lazy)):
-            k = to.index(r)
-            self._held.append((row[k - 1] if k else -1.0, row[k]))
+        lo = np.where(k > 0, lazy[states, k - 1], -1.0)
+        self._held = list(zip(lo.tolist(), lazy[states, k].tolist()))
         self._never = [(-1.0, -1.0)] * n
-        self._neighbors, self._cums = [], []
-        self._exit = off_diagonal_row_sums(model.P, range(n)).tolist()
-        for r, ((to, p), exit_mass) in enumerate(zip(model.rows, self._exit)):
-            moves = to != r
-            self._cums.append(_pinned(np.cumsum(p[moves]) / exit_mass) if exit_mass > 0 else [])
-            self._neighbors.append(to[moves].tolist() if exit_mass > 0 else [])
-        self._stay = np.diag(model.P).tolist()
+        # the embedded rows: the padded rows without r's own column, each
+        # cumulative row divided by its exit mass and pinned to end in 1.0,
+        # then padded with +inf. A row without exit is all -inf, so a scan
+        # runs off its end and bisect_left finds no neighbour in it
+        moves = np.arange(width - 1) + (np.arange(width - 1) >= k[:, None])
+        leaves = model.exit > 0
+        cums = np.full((n, width - 1), -np.inf)
+        np.divide(np.cumsum(p[states[:, None], moves], axis=1), model.exit[:, None],
+                  out=cums, where=leaves[:, None])
+        cums[leaves, length[leaves] - 2] = 1.0
+        cums[leaves[:, None] & (np.arange(width - 1) >= length[:, None] - 1)] = np.inf
+        self._neighbors = to[states[:, None], moves].tolist()
+        self._cums = cums.tolist()
+        self._exit = model.exit.tolist()
+        self._stay = model.p[own].tolist()
         # the finite-state machine's step table, built on the first window;
         # a list, so that every stream shares it
         self._fsm: list[tuple] | None = [] if n <= FSM_MAX_STATES else None
@@ -184,19 +207,18 @@ class JumpWalker:
         if self._fsm:
             return self._fsm[0]
         n = len(self._cums)
-        lengths = [len(row) for row in self._cums]
-        values = np.concatenate([*self._cums, [1.0]])
-        G = np.unique(values)
+        cums = np.array(self._cums)
+        real = np.isfinite(cums)
+        G = np.unique(np.append(cums[real], 1.0))
         in_cell = np.bincount((G * CELLS).astype(np.intp), minlength=CELLS + 1)[:CELLS]
-        # rows padded with +inf, whose target is the sentinel n
-        row = np.repeat(np.arange(n), lengths)
-        col = np.arange(len(row)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        cums = np.full((n + 1, max(lengths) + 1), np.inf)
-        targets = np.full(cums.shape, n, dtype=np.intp)
-        cums[row, col] = values[:-1]
-        targets[row, col] = np.concatenate(self._neighbors)
+        # rows padded with +inf, whose target is the sentinel n; so is every
+        # entry of a row without exit
+        table = np.full((n + 1, cums.shape[1] + 1), np.inf)
+        targets = np.full(table.shape, n, dtype=np.intp)
+        table[:n, :-1] = np.where(real, cums, np.inf)
+        targets[:n, :-1] = np.where(real, self._neighbors, n)
         picks = np.zeros((len(G), n + 1), dtype=np.intp)
-        picks[1:] = (cums <= G[:-1, None, None]).sum(axis=2)
+        picks[1:] = (table <= G[:-1, None, None]).sum(axis=2)
         M = targets[np.arange(n + 1), picks]
         self._fsm.append((G, np.cumsum(in_cell) - in_cell, in_cell > 0, M.ravel(), n + 1))
         return self._fsm[0]
@@ -302,11 +324,11 @@ class JumpWalker:
                         if changes == K:
                             break
             except IndexError:
-                # only an empty row fails ``row[i]``; caught here, around the
-                # loop, so that steps from other states pay no check. The
-                # uniform that met it was read.
+                # only a row without exit, all -inf, fails ``row[i]``; caught
+                # here, around the loop, so that steps from other states pay
+                # no check. The uniform that met it was read.
                 self._pos = pos + len(states) - mark + 1
-                if cums[cur]:
+                if self._exit[cur]:
                     raise
                 raise NoExitError(cur) from None
             self._pos = pos + len(states) - mark   # the stream goes on from here
@@ -398,7 +420,7 @@ class JumpWalker:
 
     def holding(self, r: int) -> float:
         """Lazy steps spent at r before moving, a Geometric(1 - p(r,r)) draw."""
-        if not self._cums[r]:
+        if not self._exit[r]:
             raise NoExitError(r)
         p = self._stay[r]
         if p <= 0.0:

@@ -14,7 +14,8 @@ from metabasins.chain import (
     occupation_distribution,
     restricted_hitting_probability,
 )
-from metabasins.landscape import gen_random_landscape
+from metabasins.landscape import Landscape, gen_random_landscape
+from metabasins.simulate import JumpWalker
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -184,3 +185,86 @@ def test_check_moves_names_the_first_lost_move(L6, L14, L14X):
         assert lost.value.move == move and lost.value.beta == beta
         r, s = (fx.l.index_of_label(x) for x in move)
         assert model.P[r, s] == 0.0 and s in fx.l.neighbors[r]
+
+
+def per_entry_kernel(l, beta):
+    """The kernel by the first implementation's per-entry loop, with its row
+    table, exit masses and pi, and the walker's tables per row by its per-row
+    cumsums: (to, lazy, held, neighbours, jump cums, exit, stay), floats in
+    hex. The oracle of build_metropolis and JumpWalker, bit for bit."""
+    n = l.n
+    C = np.array([len(nb) + 1 for nb in l.neighbors], dtype=float)
+    P = np.zeros((n, n))
+    rows = []
+    for r in range(n):
+        for s in l.neighbors[r]:
+            P[r, s] = math.exp(-beta * max(l.energy[s] - l.energy[r], 0.0)) / C[r]
+        P[r, r] = 1.0 - P[r].sum()
+        to = np.array(sorted((*l.neighbors[r], r)), dtype=int)
+        rows.append((to, P[r, to]))
+    off = P.copy()
+    np.fill_diagonal(off, 0.0)
+    exit_mass = off.sum(axis=1)
+    w = C * np.exp(-beta * (l.energy - l.energy.min()))
+    tables = []
+    for r, (to, p) in enumerate(rows):
+        lazy = np.nextafter(np.cumsum(p)[:-1].tolist() + [1.0], -1.0).tolist()
+        k = to.tolist().index(r)
+        moves, jump = to != r, []
+        if exit_mass[r] > 0:
+            jump = (np.cumsum(p[moves]) / exit_mass[r])[:-1].tolist() + [1.0]
+        tables.append((to.tolist(), hexed(lazy), hexed((lazy[k - 1] if k else -1.0, lazy[k])),
+                       to[moves].tolist() if jump else [], hexed(jump),
+                       float(exit_mass[r]).hex(), float(P[r, r]).hex()))
+    return P, rows, exit_mass, w / w.sum(), tables
+
+
+def hexed(values):
+    return [float(x).hex() for x in values]
+
+
+def walker_tables(model):
+    """JumpWalker's tables per row in ``per_entry_kernel``'s form, each padded
+    row cut to the row's length; a row without exit is checked to be all
+    -inf, and every other to end in +inf padding."""
+    walker = JumpWalker(model)
+    tables = []
+    for r, k in enumerate(np.diff(model.indptr).tolist()):
+        cums = walker._cums[r]
+        leaves = walker._exit[r] > 0
+        assert cums[k - 1:] == [math.inf] * (len(cums) - k + 1) if leaves else \
+            cums == [-math.inf] * len(cums)
+        tables.append((walker._to[r][:k], hexed(walker._lazy[r][:k]), hexed(walker._held[r]),
+                       walker._neighbors[r][:k - 1] if leaves else [],
+                       hexed(cums[:k - 1]) if leaves else [],
+                       walker._exit[r].hex(), walker._stay[r].hex()))
+    return tables
+
+
+def test_kernel_and_walker_tables_match_the_per_entry_loop(L6, L14, L14X):
+    # the whole-array build gives the per-entry loop's bits: P, the flat row
+    # table, exit masses, pi and every walker table, moves that underflow to
+    # 0.0 (beta 300 and 5000), states whose every exit underflows, p(r, r)
+    # rounded to 1.0 and a state without neighbours included. Entries are
+    # math.exp's: numpy's SIMD exp differs from it in the last bit on some
+    # exponents, and this catches that
+    three = ((1,), (0, 2), (1,))
+    inputs = [gen_random_landscape(n, 4, 0.05, seed=s) for n in (2, 12, 48, 196) for s in range(3)]
+    inputs += [L6.l, L14.l, L14X.l, Landscape(np.array([1000.0, 0.0, 0.5]), three),
+               Landscape(np.array([0.0, 1000.0, 0.5]), three),
+               Landscape(np.array([0.0, 40.0, 0.5]), three), Landscape(np.array([1.0]), ((),))]
+    seen = set()
+    for l in inputs:
+        for beta in (0.05, 1.0, 5.0, 12.0, 300.0, 5000.0):
+            model = build_metropolis(l, beta)
+            P, rows, exit_mass, pi, tables = per_entry_kernel(l, beta)
+            assert model.P.tobytes() == P.tobytes()
+            assert model.to.tobytes() == np.concatenate([to for to, _ in rows]).tobytes()
+            assert model.p.tobytes() == np.concatenate([p for _, p in rows]).tobytes()
+            assert model.exit.tobytes() == exit_mass.tobytes()
+            assert model.pi.tobytes() == pi.tobytes()
+            assert walker_tables(model) == tables
+            seen |= {"lost"} if (model.p == 0.0).any() else set()
+            seen |= {"trapped"} if (model.exit == 0.0).any() else set()
+            seen |= {"stays"} if (np.diag(P) == 1.0).any() else set()
+    assert seen == {"lost", "trapped", "stays"}

@@ -118,7 +118,7 @@ def test_lazy_step_at_the_unpinned_row_end_lands_in_the_row(L14X):
     # the cumulative kernel row of state 4 at beta 0.5 ends 2 ulp below 1;
     # searchsorted maps a uniform at that end to n, which is not a state
     model = build_metropolis(L14X.l, 0.5)
-    to, p = model.rows[4]
+    to, p = model.row(4)
     end = float(np.cumsum(p)[-1])
     assert end < 1.0
     assert np.searchsorted(np.cumsum(model.P[4]), end, side="right") == model.n
@@ -132,7 +132,7 @@ def test_lazy_step_at_a_cumulative_value_moves_past_it():
     # past it, as bisect_right does: 0.0 skips state 0, and the value at
     # state 1 moves on to state 2
     model = build_metropolis(Landscape(np.array([1000.0, 0.0, 0.5]), ((1,), (0, 2), (1,))), 5.0)
-    to, p = model.rows[1]
+    to, p = model.row(1)
     cums = np.cumsum(p)
     assert to.tolist() == [0, 1, 2] and p[0] == 0.0 and 0.0 < cums[1] < 1.0
     walker = JumpWalker(model)
@@ -144,7 +144,8 @@ def bisect_right_walk(model, start, uniforms):
     """Lazy steps on ``uniforms`` by ``bisect_right`` on each kernel row's
     cumulative values, the last pinned to 1.0: the oracle of ``lazy_walk``,
     which runs the jump loop on the same rows one ulp lower."""
-    rows = [(to.tolist(), np.cumsum(p)[:-1].tolist() + [1.0]) for to, p in model.rows]
+    rows = [(to.tolist(), np.cumsum(p)[:-1].tolist() + [1.0])
+            for to, p in map(model.row, range(model.n))]
     states = [start]
     for u in uniforms:
         to, cums = rows[states[-1]]
@@ -177,7 +178,7 @@ def test_hold_interval_edges_match_bisect_right():
     for beta in (5.0, 5000.0):
         model = build_metropolis(gen_random_landscape(12, 4, 0.05, seed=3), beta)
         walker = JumpWalker(model)
-        for r, (to, p) in enumerate(model.rows):
+        for r, (to, p) in enumerate(map(model.row, range(model.n))):
             k = to.tolist().index(r)
             lowered = np.nextafter(np.cumsum(p)[:-1].tolist() + [1.0], -1.0).tolist()
             lo, hi = lowered[k - 1] if k else -1.0, lowered[k]
@@ -758,7 +759,9 @@ def test_power_of_two_scaling_leaves_the_sampler_unchanged(L6, L14X, tmp_path):
         for beta in (0.5, 2.0, 5.0):
             model, model4 = build_metropolis(l, beta), build_metropolis(big, beta / 4)
             assert model4.P.tobytes() == model.P.tobytes()
-            for (to, p), (to4, p4) in zip(model.rows, model4.rows, strict=True):
+            assert model4.n == model.n
+            for r in range(model.n):
+                (to, p), (to4, p4) = model.row(r), model4.row(r)
                 assert (to4.tolist(), p4.tobytes()) == (to.tolist(), p.tobytes())
             assert (run_metropolis(model4, start, 2000, 7).states.tolist()
                     == run_metropolis(model, start, 2000, 7).states.tolist())

@@ -32,13 +32,39 @@ def test_library_has_no_assert_statements():
 
 def test_one_lazy_step_rule():
     # the lazy chain is sampled only by JumpWalker.lazy_walk on the kernel's
-    # row table: no cumulative sum along a matrix axis, and searchsorted only
-    # where the jump-chain table maps uniforms to its symbols
-    assert calls("cumsum")
-    assert len(calls("searchsorted")) == 1
-    assert callers("searchsorted") == ["simulate.JumpWalker._enumerate"]
-    assert [where for where, call in calls("cumsum")
-            if len(call.args) > 1 or any(k.arg == "axis" for k in call.keywords)] == []
+    # row table, never from a cumulative sum over the dense P: every
+    # cumulative sum along a matrix axis lies in JumpWalker.__init__ and reads
+    # its padded row table. searchsorted maps uniforms to symbols only where
+    # the jump-chain table does; check_moves' finds a row in the table's indptr
+    def along_an_axis(call):
+        return len(call.args) > 1 or any(k.arg == "axis" for k in call.keywords)
+
+    along = [(scope, call) for scope, call in scoped_calls("cumsum") if along_an_axis(call)]
+    assert len(along) == len([call for _, call in calls("cumsum") if along_an_axis(call)]) > 0
+    assert {scope for scope, _ in along} == {"simulate.JumpWalker.__init__"}
+    assert {root(call.args[0]) for _, call in along} == {"p"}
+    assert [node for _, call in along for node in ast.walk(call.args[0])
+            if getattr(node, "attr", getattr(node, "id", None)) == "P"] == []
+    assert len(calls("searchsorted")) == 2
+    assert sorted(callers("searchsorted")) == ["chain.check_moves", "simulate.JumpWalker._enumerate"]
+
+
+def test_kernel_and_step_tables_built_by_whole_array_passes():
+    # build_metropolis and the walker's tables take no per-state loop, and
+    # the walker reads the kernel's row table, not the dense P
+    for module, scope in (("chain.py", "build_metropolis"), ("simulate.py", "JumpWalker.__init__")):
+        fn = next(fn for name, fn in scopes(TREES[module]) if name == scope)
+        assert [node for node in ast.walk(fn)
+                if isinstance(node, (ast.For, ast.While, ast.comprehension))] == [], scope
+    init = next(fn for name, fn in scopes(TREES["simulate.py"]) if name == "JumpWalker.__init__")
+    assert [node for node in ast.walk(init) if getattr(node, "attr", None) == "P"] == []
+
+
+def test_off_diagonal_sums_read_from_the_row_table():
+    # the kernel keeps each row's exit mass; only the absorbing solve sums a
+    # block of P without its diagonal
+    assert callers("off_diagonal_row_sums") == ["chain._absorbing_solve"]
+    assert len(calls("off_diagonal_row_sums")) == 1
 
 
 def test_one_scalar_step_loop():
@@ -107,12 +133,25 @@ def scopes(tree):
                     yield f"{node.name}.{fn.name}", fn
 
 
-def callers(*names):
-    """module.scope of every call of a function or method in ``names``, one per call."""
-    return [f"{name[:-3]}.{scope}" for name, tree in TREES.items()
+def root(node):
+    """The name an expression's attribute and subscript chain starts from."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id
+
+
+def scoped_calls(*names):
+    """(module.scope, call) for every call of a function or method in ``names``
+    inside a function or method."""
+    return [(f"{module[:-3]}.{scope}", node) for module, tree in TREES.items()
             for scope, fn in scopes(tree) for node in ast.walk(fn)
             if isinstance(node, ast.Call)
             and getattr(node.func, "attr", getattr(node.func, "id", None)) in names]
+
+
+def callers(*names):
+    """module.scope of every call of a function or method in ``names``, one per call."""
+    return [scope for scope, _ in scoped_calls(*names)]
 
 
 def test_merge_forest_built_only_for_saddles_and_ties():
