@@ -7,16 +7,12 @@ so for an adjacent pair the saddle is the higher endpoint. This keeps the
 table symmetric and makes the saddle energy of a valley bottom to its own
 outer boundary equal to the boundary state's energy.
 
-One energy-stamped union-find sweep (``Sweep``, the merge forest of the
-sublevel sets) answers every saddle question: ``saddle_table`` keeps the
-forest in its leaf order, where every component is one interval, and
-``SaddleTable.column`` reads z*(., m) from it in O(n), with no n x n array;
-E(z*) is ``l.energy[z]``, gathered where it is read. ``essential_saddle``
-reads one pair from one column, and the valley layer, with a level's strict
-basins as labelled walls, asks the sweep which basins a state's walled
-sublevel component borders. The sweep finds its own roots through a
-path-compressed finder kept beside the stamped forest, whose root paths stay
-those of union by size. The tests check it against a minimax Dijkstra, a
+One union-find sweep (``Sweep``, the merge forest of the sublevel sets)
+answers every saddle question: ``saddle_table`` keeps the forest in its leaf
+order, where every component is one interval, and ``SaddleTable.column``
+reads z*(., m) from it in O(n), with no n x n array; E(z*) is
+``l.energy[z]``, gathered where it is read. ``essential_saddle`` reads one
+pair from one column. The tests check it against a minimax Dijkstra, a
 sublevel breadth-first search and path enumeration in ``reference``.
 ``climb`` is the one climb search, behind the filtration and
 ``activation_energy``. ``rising_reach`` is the strictly rising search of the
@@ -31,7 +27,6 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -77,111 +72,56 @@ class SaddleTable:
 
 
 class Sweep:
-    """The increasing-energy merge forest of the states outside the walls.
+    """The increasing-energy merge forest of the states.
 
-    ``wall[s]`` is a label >= 0 for a wall state and -1 otherwise; walls never
-    join the forest. States enter in increasing energy. An entering state z is
-    linked to each active neighbour in another component: the smaller root
-    points to the larger (union by size, no path compression) and the link
-    records z (``via``) and E(z) (``stamp``); ``links`` lists the absorbed roots
-    in the order their links formed. Stamps are non-decreasing towards a root,
-    so following the links stamped <= e from s ends at the representative of
-    s's component in the sublevel set {x : E(x) <= e} minus the walls. The
-    construction finds its own roots through a path-compressed copy of the
-    same components, kept beside the stamped forest, which it leaves as is.
+    States enter in increasing energy, ties in state order. An entering state
+    z is linked to each active neighbour in another component: the smaller
+    root points to the larger (union by size, roots found by path halving) and
+    the link records z (``via``); ``links`` lists the absorbed roots in the
+    order their links formed, and ``size[b]`` is b's size when it was absorbed.
 
-    ``order``, built on first use, lists the states so that every component at
-    every link is one interval of it (the leaf order of the merge tree): a
-    root's own leaf opens its interval, and a link appends the absorbed root's
-    interval right after its root's. So the link of b under a is the first to
-    join b's place and the place just before it. The remaining roots'
-    intervals follow each other in increasing root order.
-
-    A component touches a wall w through an edge (v, w) once both lie in the
-    sublevel set, at max(E(v), E(w)). Each root keeps its component's first
-    two wall labels, each with the energy at which it first touched
-    (``touch``); they arrive in sweep order, so by increasing energy. A link
-    appends the absorbed root's labels that its root lacks, at its stamp,
-    while fewer than two are kept. Two are enough to tell one label from
-    several.
+    ``order`` lists the states so that every component at every link is one
+    interval of it (the leaf order of the merge tree): a root's own leaf opens
+    its interval, and a link appends the absorbed root's interval right after
+    its root's. So the link of b under a is the first to join b's place and
+    the place just before it. The remaining roots' intervals follow each
+    other in increasing root order.
     """
 
-    def __init__(self, l: Landscape, wall=None):
+    def __init__(self, l: Landscape):
         n = l.n
-        energy, neighbors = l.energy.tolist(), l.neighbors
-        wall = [-1] * n if wall is None else wall
+        neighbors = l.neighbors
         self.parent = parent = list(range(n))
-        self.stamp = stamp = [math.inf] * n
         self.via = via = [-1] * n
         self.links = links = []
-        self.touch = touch = {}   # root -> {wall label: first touch energy}, two at most
         self.size = size = [1] * n
-        find = parent[:]          # the same components' roots, path-compressed
         last, after = parent[:], [-1] * n   # each root's leaf list, opened by the root
-        active, passed = [False] * n, [False] * n
-        for z in np.argsort(l.energy).tolist():
-            ez = energy[z]
-            if wall[z] >= 0:
-                passed[z] = True
-                for u in neighbors[z]:
-                    if active[u]:
-                        while find[u] != u:
-                            find[u] = u = find[find[u]]
-                        kept = touch.setdefault(u, {})
-                        if len(kept) < 2:
-                            kept.setdefault(wall[z], ez)
-                continue
+        active = [False] * n
+        for z in np.argsort(l.energy, kind="stable").tolist():
             active[z] = True
             a = z                 # the root of z's component
             for u in neighbors[z]:
-                if passed[u]:
-                    kept = touch.setdefault(a, {})
-                    if len(kept) < 2:
-                        kept.setdefault(wall[u], ez)
                 if not active[u]:
                     continue
                 b = u
-                while find[b] != b:
-                    find[b] = b = find[find[b]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
                 if a == b:
                     continue
                 if size[a] < size[b]:
                     a, b = b, a
-                parent[b] = find[b] = a
-                stamp[b], via[b] = ez, z
+                parent[b] = a
+                via[b] = z
                 size[a] += size[b]
                 links.append(b)
                 after[last[a]], last[a] = b, last[b]
-                if b in touch:
-                    kept = touch.setdefault(a, {})
-                    for label in touch[b]:
-                        if len(kept) < 2:
-                            kept.setdefault(label, ez)
-        self._after = after
-
-    @cached_property
-    def order(self) -> list[int]:
-        """The leaf order: each root's leaf list, roots in increasing order."""
-        order, after = [], self._after
-        for r, p in enumerate(self.parent):
+        # the leaf order: each root's leaf list, roots in increasing order
+        self.order = order = []
+        for r, p in enumerate(parent):
             if p == r:
                 while r >= 0:
                     order.append(r)
                     r = after[r]
-        return order
-
-    def _root(self, v: int, e: float) -> int:
-        parent, stamp = self.parent, self.stamp
-        while parent[v] != v and stamp[v] <= e:
-            v = parent[v]
-        return v
-
-    def attractor(self, s: int, e: float) -> int | None:
-        """The wall label bordering s's component of {E <= e} minus the walls,
-        if it borders exactly one; None if it borders none or several (or if
-        E(s) > e)."""
-        first = [label for label, at in self.touch.get(self._root(s, e), {}).items() if at <= e]
-        return first[0] if len(first) == 1 else None
 
 
 def saddle_table(l: Landscape) -> SaddleTable:

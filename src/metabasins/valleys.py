@@ -11,15 +11,15 @@ A state s is attracted by m when m realizes the least saddle energy from s
 and every minimal path to an equally cheap competitor passes through the
 strict basin of m. For a tied state this is one question about its component
 of the saddle-level sublevel set with every strict basin walled off: which
-basins it borders (proof in ``_Level.target``). The path clause is validated
+basins it borders (proof in ``bordering``). The path clause is validated
 against literal path enumeration in the tests.
 
 Each level's metastable set is the next one's plus one bottom m, so one backward
 pass over the deletion order reads one saddle-table column z*(., m) per level,
 O(n) from the merge forest's leaf order, for its strict basins and least
-saddle energies; no level reads a whole table. A level with a tied state
-builds one saddle sweep (``saddles.Sweep``), its strict basins as walls, for
-all its ties.
+saddle energies; no level reads a whole table. One walled flood over the
+states in energy order (``bordering``), its strict basins as walls, answers
+all of a level's ties; the energy order is sorted once per decomposition.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .filtration import Filtration
 from .landscape import Landscape
-from .saddles import SaddleTable, Sweep
+from .saddles import SaddleTable
 
 
 def strict_basin(l: Landscape, table: SaddleTable, M, m: int) -> frozenset[int]:
@@ -70,44 +70,92 @@ def _suffixes(l: Landscape, table: SaddleTable, order) -> list[tuple]:
     return out[::-1]
 
 
-class _Level:
-    """Strict basins and attraction among one metastable set M, from its ``_suffixes`` row."""
+def bordering(neighbors, energy: list[float], wall: list[int], queries: dict, order) -> dict:
+    """For each query s: e, the one wall label bordering s's component of
+    {E <= e} minus the walls; None if it borders none or several, if s is a
+    wall, or if E(s) > e.
 
-    def __init__(self, l: Landscape, M, owner: np.ndarray, least: np.ndarray, strict: dict):
-        self.M = frozenset(M)
-        self.owner, self.least, self.energy = owner.tolist(), least.tolist(), l.energy.tolist()
-        self.strict = strict
-        self.sweep = Sweep(l, self.owner) if (owner < 0).any() else None
+    ``wall[s]`` is a label >= 0 for a wall state and -1 otherwise. One flood
+    over ``order``, the states by increasing energy, answers every query: the
+    states outside the walls join on a path-halving union-find, and a
+    component borders a wall once an edge between them has both ends entered.
+    A root keeps its component's one label, or a mark for none or several. A
+    query is answered once every state of energy <= e has entered, not after
+    the first of several tied ones, and the flood stops after the last query.
 
-    def target(self, s: int) -> int | None:
-        """The metastable state attracting s, or None.
+    This is the attraction of a tied state. Let s have least saddle energy L,
+    let C be its component of {E <= L} and T its tied minimizers. By the
+    ultrametric inequality of saddle energies:
+    - C holds exactly the metastable states of T;
+    - each S(m), m in T, is connected, lies strictly below L (so inside C)
+      and is disjoint from the other basins;
+    - no basin of a metastable state outside T meets C.
+    So s reaches another minimizer m' in C minus S(m) iff it reaches S(m').
+    A path from s leaves its walled component (C minus every basin) only into
+    a basin, and that component borders at least one, since C is connected
+    and holds one. So, with the strict basins as walls, s is attracted by m
+    iff the walled component borders S(m) and no other basin, and by at most
+    one minimum.
+    """
+    n = len(energy)
+    parent = list(range(n))
+    entered = [False] * n
+    border = [-1] * n     # per root: the one wall label its component borders, -1 none, -2 several
+    found = {}
+    i = 0
+    for s in sorted(queries, key=queries.get):
+        e = queries[s]
+        while i < n and energy[order[i]] <= e:
+            z = order[i]
+            i += 1
+            entered[z] = True
+            w = wall[z]
+            if w >= 0:
+                for u in neighbors[z]:
+                    if entered[u] and wall[u] < 0:
+                        while parent[u] != u:
+                            parent[u] = u = parent[parent[u]]
+                        b = border[u]
+                        border[u] = w if b == -1 or b == w else -2
+                continue
+            for u in neighbors[z]:       # z stays the root of its component
+                if not entered[u]:
+                    continue
+                a = wall[u]
+                if a < 0:
+                    while parent[u] != u:
+                        parent[u] = u = parent[parent[u]]
+                    if u == z:
+                        continue
+                    parent[u] = z
+                    a = border[u]
+                b = border[z]
+                border[z] = a if b == -1 or b == a else (b if a == -1 else -2)
+        v = s
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        found[s] = border[v] if border[v] >= 0 else None
+    return found
 
-        A strict-basin state is attracted by its bottom. For a tied state s
-        with least saddle energy L, let C be its component of {E <= L} and T
-        its tied minimizers. By the ultrametric inequality of saddle energies:
-        - C holds exactly the metastable states of T;
-        - each S(m), m in T, is connected, lies strictly below L (so inside C)
-          and is disjoint from the other basins;
-        - no basin of a metastable state outside T meets C.
-        So s reaches another minimizer m' in C minus S(m) iff it reaches S(m').
-        A path from s leaves its walled component (C minus every basin) only
-        into a basin, and that component borders at least one, since C is
-        connected and holds one. So s is attracted by m iff the walled
-        component borders S(m) and no other basin, and by at most one minimum.
-        """
-        if self.energy[s] > self.least[s]:
-            raise ValueError(f"state {s} lies above its least saddle energy {self.least[s]}; "
+
+def _tie_queries(energy: list[float], owner: list[int], least: list[float], asked) -> dict:
+    """Each tied state of ``asked`` at its least saddle energy: the flood's queries."""
+    for s in asked:
+        if energy[s] > least[s]:
+            raise ValueError(f"state {s} lies above its least saddle energy {least[s]}; "
                              "the saddle table does not belong to the landscape")
-        if self.owner[s] >= 0:
-            return self.owner[s]
-        return self.sweep.attractor(s, self.least[s])
+    return {s: least[s] for s in asked if owner[s] < 0}
 
 
 def attracted(l: Landscape, table: SaddleTable, M, s: int, m: int) -> bool:
     """Is s attracted by m among the metastable set M?"""
     if m not in M:
         raise ValueError("m is not metastable at this level")
-    return _Level(l, M, *_suffixes(l, table, sorted(M))[0]).target(s) == m
+    owner, least, _ = _suffixes(l, table, sorted(M))[0]
+    owner, energy = owner.tolist(), l.energy.tolist()
+    found = bordering(l.neighbors, energy, owner, _tie_queries(energy, owner, least.tolist(), [s]),
+                      np.argsort(l.energy, kind="stable").tolist())
+    return (found[s] if owner[s] < 0 else owner[s]) == m
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,13 +207,18 @@ def decompose_all(l: Landscape, f: Filtration, table: SaddleTable) -> list[Valle
     attracted_at: dict[int, tuple[int, int]] = {}
     merge_level = {j: math.inf for j in range(1, f.levels + 1)}
     levels: list[ValleyDecomposition] = []
-    for i, row in enumerate(_suffixes(l, table, f.deletion_order), start=1):
-        level = _Level(l, f.M(i), *row)
+    energy, order = l.energy.tolist(), np.argsort(l.energy, kind="stable").tolist()
+    for i, (owner, least, strict) in enumerate(_suffixes(l, table, f.deletion_order), start=1):
+        M = f.M(i)
+        owner = owner.tolist()
+        asked = sorted(part.keys() - M)
+        found = bordering(l.neighbors, energy, owner,
+                          _tie_queries(energy, owner, least.tolist(), asked), order)
         # at level 1 every bottom's valley is new, whether it attracts or not
-        grown: dict[int, list[int]] = {m: [] for m in level.M} if i == 1 else {}
+        grown: dict[int, list[int]] = {m: [] for m in M} if i == 1 else {}
         taken = []                      # non-assigned states attracted at level i
-        for s in sorted(part.keys() - level.M):
-            t = level.target(s)
+        for s in asked:
+            t = found[s] if owner[s] < 0 else owner[s]
             if t is not None:
                 grown.setdefault(t, []).append(s)
                 attracted_at[s] = (t, i)
@@ -178,15 +231,15 @@ def decompose_all(l: Landscape, f: Filtration, table: SaddleTable) -> list[Valle
             gate[t] = _gate(l, part[t])
         if taken:
             nonassigned = nonassigned.difference(taken)
-        own.update(dict.fromkeys(level.M, i))
+        own.update(dict.fromkeys(M, i))
         levels.append(ValleyDecomposition(
             level=i,
-            strict=level.strict,
-            valley={m: part[m] for m in level.M},
+            strict=strict,
+            valley={m: part[m] for m in M},
             nonassigned=nonassigned,
             attracted_at=dict(attracted_at),
             merge_level=dict(merge_level),
-            exit_gate={m: gate[m] for m in level.M},
+            exit_gate={m: gate[m] for m in M},
             pending={p: (lv, part[p], gate[p]) for p, lv in own.items() if lv < i and p in part},
         ))
     return levels

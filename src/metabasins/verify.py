@@ -27,7 +27,7 @@ from .chain import (HittingQuery, build_metropolis, expected_hitting_time, hitti
 from .filtration import scoppola_filtration
 from .landscape import Landscape, gen_random_landscape, reachable
 from .saddles import essential_saddle, saddle_table
-from .valleys import _Level, _suffixes, decompose_all, outer_boundary
+from .valleys import _suffixes, _tie_queries, bordering, decompose_all, outer_boundary
 from .verifydata import FixtureSet
 
 
@@ -126,9 +126,13 @@ def c2_valley_oracle(fx: FixtureSet) -> CriterionResult:
 
 
 def _valley_invariants(l, f, table, decomps) -> str | None:
-    for d, row in zip(decomps, _suffixes(l, table, f.deletion_order)):
+    energy, order = l.energy.tolist(), np.argsort(l.energy, kind="stable").tolist()
+    for d, (owner, least, _) in zip(decomps, _suffixes(l, table, f.deletion_order)):
         M = f.M(d.level)
-        level = _Level(l, M, *row)
+        owner = owner.tolist()
+        asked = [s for s in range(l.n) if s not in M]
+        found = bordering(l.neighbors, energy, owner,
+                          _tie_queries(energy, owner, least.tolist(), asked), order)
         assigned = d.assigned_valleys()
         cover: set[int] = set()
         for m, members in assigned.items():
@@ -146,8 +150,8 @@ def _valley_invariants(l, f, table, decomps) -> str | None:
                 return f"level {d.level}: strict basin of {m} disconnected"
             # sandwich: every state attracted by m sits in the valley, and the
             # valley stays inside the weak-inequality region
-            for s in range(l.n):
-                if s not in members and s not in M and level.target(s) == m:
+            for s in asked:
+                if s not in members and (found[s] if owner[s] < 0 else owner[s]) == m:
                     return f"level {d.level}: attracted state {s} outside valley of {m}"
             for s in members:
                 e = l.energy[table.column(s)]

@@ -155,12 +155,15 @@ def callers(*names):
 
 
 def test_merge_forest_built_only_for_saddles_and_ties():
-    # the one union-find is built for the saddle table and a level's tie
-    # test; the valley layer builds it once per level at most, and one pair's
-    # saddle is read from a fresh table
+    # the merge forest is built for the saddle table alone, and one pair's
+    # saddle is read from a fresh table; a level's ties are answered by one
+    # walled flood, run by the decomposition, the public attraction test and
+    # verify's valley invariants
     builders = callers("Sweep")
     assert len(calls("Sweep")) == len(builders)
-    assert sorted(builders) == ["saddles.saddle_table", "valleys._Level.__init__"]
+    assert builders == ["saddles.saddle_table"]
+    assert sorted(callers("bordering")) == ["valleys.attracted", "valleys.decompose_all",
+                                            "verify._valley_invariants"]
 
 
 def test_level_reads_one_column_per_set():
@@ -185,9 +188,9 @@ def test_defaults_only_where_callers_differ():
                  for name, tree in TREES.items() if name != "reference.py"
                  for scope, fn in scopes(tree) for arg in with_default(fn.args)]
     assert sorted(defaulted) == [
-        "cli.main(argv)", "saddles.Sweep.__init__(wall)",
-        "saddles.sublevel_connected(avoid)", "saddles.uphill_downhill_path(avoid)",
-        "saddles.uphill_downhill_path(table)", "simulate.JumpWalker.walk(max_steps)",
+        "cli.main(argv)", "saddles.sublevel_connected(avoid)",
+        "saddles.uphill_downhill_path(avoid)", "saddles.uphill_downhill_path(table)",
+        "simulate.JumpWalker.walk(max_steps)",
         "verify._random_instances(seed0)", "verify.c6_exit_time_slope(beta_grid)",
         "verify.c8_aac_convergence(beta_grid)", "verify.c9_transition_exponents(beta_grid)"]
 

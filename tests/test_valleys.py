@@ -8,12 +8,13 @@ from metabasins import reference, valleys
 from metabasins.filtration import scoppola_filtration
 from metabasins.landscape import Landscape, gen_random_landscape, reachable
 from metabasins.reference import decompose
-from metabasins.saddles import SaddleTable, Sweep, saddle_table
+from metabasins.saddles import SaddleTable, saddle_table
 from metabasins.filtration import local_minima
 from metabasins.valleys import (
     _gate,
     _suffixes,
     attracted,
+    bordering,
     build_tree,
     connectivity_params,
     decompose_all,
@@ -71,23 +72,48 @@ def _sublevel_touches(l, wall, s, barrier):
             if wall[u] >= 0 and l.energy[u] <= barrier}
 
 
+def _flood(l, wall, queries):
+    return bordering(l.neighbors, l.energy.tolist(), wall, queries,
+                     np.argsort(l.energy, kind="stable").tolist())
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_swept_connectivity_matches_sublevel_bfs(seed):
     l = gen_random_landscape(8 + 3 * seed, 3, 0.05, seed=9100 + seed)
     rng = np.random.default_rng(seed)
+    low, high = l.energy.min() - 1.0, l.energy.max() + 1.0
     for _ in range(4):
         wall = [-1] * l.n
         for v in rng.choice(l.n, size=int(rng.integers(0, 5)), replace=False):
             wall[int(v)] = int(rng.integers(0, 3))
-        sweep = Sweep(l, wall)
-        for _ in range(20):
-            s = int(rng.integers(l.n))
-            # energies themselves probe the inclusive end of the sublevel set
-            barrier = float(rng.choice(l.energy)) + float(rng.choice([-0.01, 0.0, 0.01]))
-            # the sweep keeps two labels per root: enough to name the one
-            # label bordering s's component, or to say there is not one
-            touches = _sublevel_touches(l, wall, s, barrier)
-            assert sweep.attractor(s, barrier) == (touches.pop() if len(touches) == 1 else None)
+        # each flood asks about every state, walls and states above their
+        # barrier included; energies themselves probe the inclusive end of the
+        # sublevel set, and barriers below and above every energy the flood's
+        # two ends
+        floods = [rng.choice(l.energy, size=l.n) + rng.choice([-0.01, 0.0, 0.01], size=l.n)
+                  for _ in range(5)]
+        floods += [np.full(l.n, low), np.full(l.n, high), rng.choice([low, high], size=l.n)]
+        for barriers in floods:
+            queries = dict(enumerate(barriers.tolist()))
+            found = _flood(l, wall, queries)
+            assert found.keys() == queries.keys()
+            for s, barrier in queries.items():
+                # each root keeps one label or a mark for several: enough to
+                # name the one label bordering s's component, or to say there
+                # is not one
+                touches = _sublevel_touches(l, wall, s, barrier)
+                assert found[s] == (touches.pop() if len(touches) == 1 else None)
+
+
+def test_flood_answers_after_every_tied_state():
+    # w0 - x - y - w1, with x and y at one energy: at that energy x's walled
+    # component is {x, y}, which borders both walls; answering right after x
+    # entered would see w0 alone
+    l = Landscape(np.array([0.0, 1.0, 1.0, 0.0]), ((1,), (0, 2), (1, 3), (2,)))
+    wall = [0, -1, -1, 1]
+    assert _flood(l, wall, {1: 1.0, 2: 1.0}) == {1: None, 2: None}
+    assert _flood(l, wall, {1: 1.0}) == {1: None}
+    assert _sublevel_touches(l, wall, 1, 1.0) == {0, 1}
 
 
 def test_several_attracting_minima_raise(L6):
@@ -246,17 +272,17 @@ def test_decompose_all_shares_unchanged_strict_basins(L6, L14, L14X):
 
 
 def test_decompose_all_builds_at_most_one_sweep_per_level(L6, L14, L14X, monkeypatch):
-    built = []
+    floods = []
 
-    def counting_sweep(*args):
-        built.append(args)
-        return Sweep(*args)
+    def counting_flood(*args):
+        floods.append(args)
+        return bordering(*args)
 
-    monkeypatch.setattr(valleys, "Sweep", counting_sweep)
+    monkeypatch.setattr(valleys, "bordering", counting_flood)
     for fx in (L6, L14, L14X):
-        built.clear()
+        floods.clear()
         decompose_all(fx.l, fx.f, fx.table)
-        assert 0 < len(built) <= fx.f.levels
+        assert 0 < len(floods) <= fx.f.levels
 
 
 def _grown_at(d):
