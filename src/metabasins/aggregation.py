@@ -147,7 +147,7 @@ def valley_transition_limits(ms: MetastateSpace, jc: JumpChainLimit):
     if not nlist:
         raise ValueError("no non-assigned states at this level; nothing to traverse")
     try:
-        absorb = _absorbing_solve(jc.phat, np.flatnonzero(na), jc.phat[np.ix_(na, ~na)])
+        absorb = _absorbing_solve(jc.phat[na], np.flatnonzero(na), jc.phat[np.ix_(na, ~na)])
     except np.linalg.LinAlgError:
         A = jc.phat[np.ix_(na, na)]
         tied = np.argwhere(np.triu((A > 0) & (A.T > 0))).tolist()
@@ -159,17 +159,18 @@ def valley_transition_limits(ms: MetastateSpace, jc: JumpChainLimit):
 
 def exact_jump_distribution(model: TransitionModel, ms: MetastateSpace, r: int) -> dict[int, float]:
     """Finite-beta law of the next AAC state from metastate r (start at r itself)."""
-    P = model.P
     out: dict[int, float] = {}
     if r in ms.nonassigned:
         mass = model.exit[r]
+        p_r = model.dense_rows([r])[0]
         for t in model.landscape.neighbors[r]:
             m = int(ms.rep_of[t])
-            out[m] = out.get(m, 0.0) + P[r, t] / mass
+            out[m] = out.get(m, 0.0) + p_r[t] / mass
         return out
     members = sorted(ms.valley_of[r])
     outside = [s for s in range(model.n) if s not in ms.valley_of[r]]
-    X = _absorbing_solve(P, members, P[np.ix_(members, outside)])
+    R = model.dense_rows(members)
+    X = _absorbing_solve(R, members, R.take(outside, axis=1))
     row = X[members.index(r)]
     for t, p in zip(outside, row):
         if p > 0:
@@ -192,7 +193,6 @@ def exact_valley_transition(model: TransitionModel, ms: MetastateSpace, m: int) 
     """Finite-beta law of the first valley entered after leaving V(m), from its bottom."""
     if m in ms.nonassigned:
         raise ValueError("m must be a valley metastate")
-    P = model.P
     nlist = sorted(ms.nonassigned)
     mlist = list(ms.valley_metastates)
     # exit distribution over non-assigned states (every boundary is non-assigned)
@@ -200,11 +200,12 @@ def exact_valley_transition(model: TransitionModel, ms: MetastateSpace, m: int) 
     if not ms.nonassigned.issuperset(exit_dist):
         raise ValueError(f"valley {m} borders another valley; boundaries must be non-assigned")
     # absorption of the walk on the non-assigned set into the valleys
+    R = model.dense_rows(nlist)
     B = np.zeros((len(nlist), len(mlist)))
-    for a, nstate in enumerate(nlist):
+    for a in range(len(nlist)):
         for b, target in enumerate(mlist):
-            B[a, b] = P[nstate, sorted(ms.valley_of[target])].sum()
-    H = _absorbing_solve(P, nlist, B)
+            B[a, b] = R[a, sorted(ms.valley_of[target])].sum()
+    H = _absorbing_solve(R, nlist, B)
     out = {mp: 0.0 for mp in mlist}
     for nstate, w in exit_dist.items():
         for b, mp in enumerate(mlist):
@@ -529,17 +530,18 @@ def semi_markov_kernel(model: TransitionModel, ms: MetastateSpace,
         raise ValueError("exit target of a valley must be non-assigned")
     members = sorted(ms.valley_of[y])
     pos = {s: k for k, s in enumerate(members)}
-    P = model.P
-    r_z = P[members, z]
-    h = _absorbing_solve(P, members, r_z)      # P_s(exit exactly at z)
-    u = _absorbing_solve(P, members, h)        # E_s(sojourn; exit at z)
+    R = model.dense_rows(members)
+    r_z = R[:, z]
+    h = _absorbing_solve(R, members, r_z)      # P_s(exit exactly at z)
+    u = _absorbing_solve(R, members, h)        # E_s(sojourn; exit at z)
     entries = [s for s in l.neighbors[x] if s in ms.valley_of[y]]
-    weights = np.array([P[x, s] * h[pos[s]] for s in entries])
+    p_x = model.dense_rows([x])[0]
+    weights = np.array([p_x[s] * h[pos[s]] for s in entries])
     if weights.sum() <= 0:
         raise ValueError(f"exit state {z} unreachable from valley {y} entered via {x}")
     weights = weights / weights.sum()
     mean = float(sum(w * u[pos[s]] / h[pos[s]] for w, s in zip(weights, entries)))
-    Q = P[np.ix_(members, members)]
+    Q = R.take(members, axis=1)
 
     def pmf(t: int) -> float:
         if t < 1:

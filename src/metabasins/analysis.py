@@ -199,7 +199,7 @@ def quasi_stationary(model: TransitionModel, V) -> QuasiStationary:
     inside = set(V)
     if reachable(l, V[0], inside) != inside:
         raise ValueError("restriction to V is not irreducible")
-    Q = model.P[np.ix_(V, V)]
+    Q = model.dense_rows(V).take(V, axis=1)
     nu = np.full(len(V), 1.0 / len(V))
     lam = 1.0
     for _ in range(1_000_000):
@@ -218,7 +218,7 @@ def quasi_stationary(model: TransitionModel, V) -> QuasiStationary:
 
 def survival_curve(model: TransitionModel, qs: QuasiStationary, n_max: int) -> np.ndarray:
     """P_nu(exit time > n) for n = 0..n_max, exactly."""
-    Q = model.P[np.ix_(qs.states, qs.states)]
+    Q = model.dense_rows(qs.states).take(qs.states, axis=1)
     out = np.empty(n_max + 1)
     vec = qs.nu.copy()
     out[0] = vec.sum()
@@ -242,12 +242,13 @@ def _scattering(model: TransitionModel, q: float, n_max: int, positions) -> Scat
     n = model.n
     dist = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=2)
     cosq = np.cos(q * dist)
+    P = model.dense_rows(range(n))
     M = np.eye(n)
     values = np.empty(n_max + 1)
     pi = model.pi
     for step in range(n_max + 1):
         if step:
-            M = M @ model.P
+            M = M @ P
         values[step] = float((pi[:, None] * M * cosq).sum())
     return ScatteringCurve(q, values)
 

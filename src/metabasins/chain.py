@@ -5,28 +5,30 @@ The kernel is the lazy Metropolis chain
     p(r,s) = exp(-beta (E(s)-E(r))^+) / C(r)   for s ~ r,
     p(r,r) = 1 - sum of the above,
 
-with C(r) = |N(r)| + 1 so that p(r,r) > 0 on every graph. ``P`` holds it
-dense for the exact solvers below. The same entries are kept as one flat row
-table: row r is ``to[indptr[r]:indptr[r + 1]]``, the states r can move to (r
-included, ascending), with their entries in ``p``; ``row(r)`` returns the two
-views. ``exit`` holds each row's off-diagonal sum, 1 - p(r,r) without
-cancellation. The row table feeds ``simulate.JumpWalker``, ``check_moves``
-and ``aggregate``'s transition_matrix.csv. ``build_metropolis`` fills all of
-it by whole-array passes; each move's entry is ``math.exp`` of its exponent,
-not ``np.exp``, whose SIMD kernels can differ from libm in the last bit. At
-large beta the entry of a move can underflow to 0.0, and the kernel's graph
-is then no longer the landscape's; ``check_moves`` names the first such move
-(the CLI runs it after each build). Hitting quantities use the first-return convention
+with C(r) = |N(r)| + 1 so that p(r,r) > 0 on every graph. It is held once,
+as one flat row table: row r is ``to[indptr[r]:indptr[r + 1]]``, the states r
+can move to (r included, ascending), with their entries in ``p``; ``row(r)``
+returns the two views, and ``dense_rows(states)`` the rows of the listed
+states at full width, for the exact solvers below. ``exit`` holds each row's
+off-diagonal sum, 1 - p(r,r) without cancellation. The row table also feeds
+``simulate.JumpWalker``, ``check_moves`` and ``aggregate``'s
+transition_matrix.csv. ``build_metropolis`` fills all of it by whole-array
+passes; each move's entry is ``math.exp`` of its exponent, not ``np.exp``,
+whose SIMD kernels can differ from libm in the last bit. At large beta the
+entry of a move can underflow to 0.0, and the kernel's graph is then no
+longer the landscape's; ``check_moves`` names the first such move (the CLI
+runs it after each build). Hitting quantities use the first-return convention
 tau_A = inf{n >= 1 : X_n in A}; when the start state lies in A or B one
 explicit first step is taken before reading the absorption values.
 
-Linear systems are assembled in one place, ``_absorbing_solve``, with
-diagonals built as sums of positive off-diagonal mass, never as 1 - p(r,r).
-At large beta the latter is swallowed by rounding; the former is what keeps
-exit times with barriers like e^{70} solvable in double precision. It has a
-limit too: a row's exit mass is added to its in-valley mass (the mass sent to
-the other transient states), so an exit mass below one ulp of the in-valley
-mass is lost from the diagonal and the solved laws no longer sum to one.
+Linear systems are solved in one place, ``_absorbing_solve``, on the rows of
+the transient states alone, with diagonals built as sums of positive
+off-diagonal mass, never as 1 - p(r,r). At large beta the latter is swallowed
+by rounding; the former is what keeps exit times with barriers like e^{70}
+solvable in double precision. It has a limit too: a row's exit mass is added
+to its in-valley mass (the mass sent to the other transient states), so an
+exit mass below one ulp of the in-valley mass is lost from the diagonal and
+the solved laws no longer sum to one.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ class TransitionModel:
     landscape: Landscape
     beta: float
     degree_plus: np.ndarray          # C(r) = |N(r)| + 1
-    P: np.ndarray                    # row-stochastic kernel
     gamma_beta: float
     pi: np.ndarray                   # stationary distribution
     indptr: np.ndarray               # row r of the table is indptr[r]:indptr[r + 1]
@@ -76,6 +77,20 @@ class TransitionModel:
         """The states r moves to, r included and ascending, and p(r, .) on them."""
         a, b = self.indptr[r], self.indptr[r + 1]
         return self.to[a:b], self.p[a:b]
+
+    def dense_rows(self, states) -> np.ndarray:
+        """p(r, .) at full width, one row for each listed state r.
+
+        Readers take a block of columns with ``take(cols, axis=1)``, which
+        keeps it C-ordered; a fancy column index gives an F-ordered block,
+        and sums and products over it can round differently.
+        """
+        states = np.asarray(states, dtype=np.intp)
+        lo, size = self.indptr[states], self.indptr[states + 1] - self.indptr[states]
+        k = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
+        out = np.zeros((len(states), self.n))
+        out[np.repeat(np.arange(len(states)), size), self.to[k]] = self.p[k]
+        return out
 
 
 def gamma_beta(l: Landscape, beta: float) -> float:
@@ -96,7 +111,15 @@ def build_metropolis(l: Landscape, beta: float) -> TransitionModel:
     states = np.arange(n)
     src = np.repeat(states, degree)
     dst = np.fromiter(chain.from_iterable(l.neighbors), dtype=np.intp, count=len(src))
-    exponent = -beta * np.maximum(energy[dst] - energy[src], 0.0)
+    # at a huge beta these products overflow to -inf; that is meant, since its
+    # exp is 0.0, and check_moves names the move that is lost
+    with np.errstate(over="ignore"):
+        exponent = -beta * np.maximum(energy[dst] - energy[src], 0.0)
+        # pi(r) proportional to C(r) exp(-beta E(r)); shift by the minimum for stability
+        w = C * np.exp(-beta * (energy - energy.min()))
+    # dense scratch, not kept: exit is numpy's pairwise sum over each zero-padded
+    # row, the sum the solvers' diagonals take; a sum over a row's nonzeros alone
+    # can group the terms differently
     P = np.zeros((n, n))
     P[src, dst] = np.fromiter(map(math.exp, exponent.tolist()), dtype=float,
                               count=len(src)) / C[src]
@@ -107,10 +130,7 @@ def build_metropolis(l: Landscape, beta: float) -> TransitionModel:
     order = np.lexsort((dst, src))
     src, dst = src[order], dst[order]
     indptr = np.concatenate([[0], np.cumsum(degree + 1)])
-    # pi(r) proportional to C(r) exp(-beta E(r)); shift by the minimum for stability
-    w = C * np.exp(-beta * (energy - energy.min()))
-    pi = w / w.sum()
-    return TransitionModel(l, float(beta), C, P, gamma_beta(l, beta), pi,
+    return TransitionModel(l, float(beta), C, gamma_beta(l, beta), w / w.sum(),
                            indptr, dst, P[src, dst], exit_mass)
 
 
@@ -136,69 +156,51 @@ def check_moves(model: TransitionModel) -> None:
     raise LostMoveError(labels[r], labels[model.to[k]], model.beta)
 
 
-def off_diagonal_row_sums(P: np.ndarray, rows) -> np.ndarray:
-    """1 - p(r,r) for each listed row, computed without cancellation."""
-    rows = np.asarray(rows, dtype=int)
-    block = P[rows].copy()
-    block[np.arange(len(rows)), rows] = 0.0
-    return block.sum(axis=1)
+def _absorbing_solve(rows: np.ndarray, transient, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - Q) x = rhs, Q the block of a kernel on the ``transient`` states.
 
-
-def _absorbing_solve(P: np.ndarray, transient, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - Q) x = rhs, Q the block of P on the ``transient`` states.
-
-    The diagonal of I - Q is the off-diagonal row mass, so it carries no
+    ``rows`` are the kernel's rows of the transient states at full width. The
+    diagonal of I - Q is their off-diagonal mass, so it carries no
     1 - p(r,r) cancellation.
     """
-    A = -P[np.ix_(transient, transient)]
-    np.fill_diagonal(A, off_diagonal_row_sums(P, transient))
+    off = rows.copy()
+    off[np.arange(len(transient)), transient] = 0.0
+    A = -rows.take(transient, axis=1)
+    np.fill_diagonal(A, off.sum(axis=1))
     return np.linalg.solve(A, rhs)
 
 
-def absorption_probabilities(P: np.ndarray, targets, others) -> np.ndarray:
-    """P(hit ``targets`` before ``others``) from every state, both sets absorbing.
-
-    Entries for states inside the sets are their indicator values.
-    """
-    targets = frozenset(targets)
-    absorbing = targets | frozenset(others)
-    transient = [s for s in range(P.shape[0]) if s not in absorbing]
-    h = np.zeros(P.shape[0])
-    for t in targets:
-        h[t] = 1.0
+def _hitting(rows, n: int, start: int, targets: frozenset, others: frozenset) -> float:
+    """P_start(tau_targets < tau_others) honoring the n >= 1 convention, for
+    the chain on range(n) whose kernel rows on a list of states are ``rows(states)``."""
+    absorbing = targets | others
+    transient = [s for s in range(n) if s not in absorbing]
+    h = np.zeros(n)
+    h[list(targets)] = 1.0
     if transient:
-        b = P[np.ix_(transient, sorted(targets))].sum(axis=1)
-        h[transient] = _absorbing_solve(P, transient, b)
-    return h
-
-
-def expected_absorption_times(P: np.ndarray, absorbing) -> np.ndarray:
-    """E(steps until the absorbing set) from every state (0 inside the set)."""
-    absorbing = frozenset(absorbing)
-    transient = [s for s in range(P.shape[0]) if s not in absorbing]
-    t = np.zeros(P.shape[0])
-    if transient:
-        t[transient] = _absorbing_solve(P, transient, np.ones(len(transient)))
-    return t
+        R = rows(transient)
+        h[transient] = _absorbing_solve(R, transient, R.take(sorted(targets), axis=1).sum(axis=1))
+    if start in absorbing:
+        # one explicit first step, then read the absorption values
+        return float(rows([start])[0] @ h)
+    return float(h[start])
 
 
 def hitting_probability(model: TransitionModel, query: HittingQuery) -> float:
     """Exact P_start(tau_A < tau_B) honoring the n >= 1 convention."""
-    P = model.P
-    h = absorption_probabilities(P, query.target, query.competitor)
-    x = query.start
-    if x in query.target or x in query.competitor:
-        # one explicit first step, then read the absorption values
-        return float(P[x] @ h)
-    return float(h[x])
+    return _hitting(model.dense_rows, model.n, query.start, query.target, query.competitor)
 
 
 def expected_hitting_time(model: TransitionModel, start: int, targets) -> float:
     """Exact E_start(tau_A), again with the n >= 1 convention."""
     targets = frozenset(targets)
-    t = expected_absorption_times(model.P, targets)
+    transient = [s for s in range(model.n) if s not in targets]
+    t = np.zeros(model.n)
+    if transient:
+        t[transient] = _absorbing_solve(model.dense_rows(transient), transient,
+                                        np.ones(len(transient)))
     if start in targets:
-        return float(1.0 + model.P[start] @ t)
+        return float(1.0 + model.dense_rows([start])[0] @ t)
     return float(t[start])
 
 
@@ -206,34 +208,26 @@ def occupation_distribution(model: TransitionModel, mu0, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be nonnegative")
     mu = np.asarray(mu0, dtype=float).copy()
+    P = model.dense_rows(range(model.n))
     for _ in range(n):
-        mu = mu @ model.P
+        mu = mu @ P
     return mu
 
 
-def restricted_transition_matrix(model: TransitionModel, states) -> tuple[np.ndarray, list[int]]:
-    """Kernel of the chain restricted to a subgraph.
+def restricted_hitting_probability(model: TransitionModel, states, start: int,
+                                   target: int, competitor: int) -> float:
+    """P(tau_target < tau_competitor) for the chain restricted to ``states``.
 
     Off-diagonal entries are copied from the full chain; the removed mass is
     folded into the diagonal, so the restriction is again row stochastic.
     """
     states = sorted(states)
-    sub = model.P[np.ix_(states, states)].copy()
+    sub = model.dense_rows(states).take(states, axis=1)
     np.fill_diagonal(sub, 0.0)
     np.fill_diagonal(sub, 1.0 - sub.sum(axis=1))
-    return sub, states
-
-
-def restricted_hitting_probability(model: TransitionModel, states, start: int,
-                                   target: int, competitor: int) -> float:
-    """P(tau_target < tau_competitor) for the chain restricted to ``states``."""
-    sub, order = restricted_transition_matrix(model, states)
-    idx = {s: k for k, s in enumerate(order)}
-    h = absorption_probabilities(sub, {idx[target]}, {idx[competitor]})
-    x = idx[start]
-    if start in (target, competitor):
-        return float(sub[x] @ h)
-    return float(h[x])
+    idx = {s: k for k, s in enumerate(states)}
+    return _hitting(sub.__getitem__, len(states), idx[start],
+                    frozenset({idx[target]}), frozenset({idx[competitor]}))
 
 
 def kernel_sandwich_holds(model: TransitionModel) -> bool:
@@ -243,14 +237,12 @@ def kernel_sandwich_holds(model: TransitionModel) -> bool:
     golden ratio; below that the stated slack is too small for the
     largest-degree state.
     """
-    l = model.landscape
-    g = model.gamma_beta / l.n
-    beta = model.beta
-    for r in range(l.n):
-        for s in l.neighbors[r]:
-            de = max(l.energy[s] - l.energy[r], 0.0)
-            lo = math.exp(-beta * (de + g))
-            hi = math.exp(-beta * (de - g))
-            if not (lo <= model.P[r, s] <= hi):
-                return False
-    return True
+    energy = model.landscape.energy
+    g = model.gamma_beta / model.n
+    src = np.repeat(np.arange(model.n), np.diff(model.indptr))
+    move = model.to != src
+    de = np.maximum(energy[model.to[move]] - energy[src[move]], 0.0)
+    lo, hi = (np.fromiter(map(math.exp, (-model.beta * (de + slack)).tolist()), dtype=float,
+                          count=len(de)) for slack in (g, -g))
+    p = model.p[move]
+    return bool(((lo <= p) & (p <= hi)).all())

@@ -227,8 +227,9 @@ def c4_exact_identities(fx: FixtureSet) -> CriterionResult:
         path = _shortest_path(l, int(a), int(b))
         if len(path) < 2:
             continue
+        rows = model.dense_rows(path)
         terms = [
-            (model.pi[path[0]] / model.pi[path[i]]) / model.P[path[i], path[i - 1]]
+            (model.pi[path[0]] / model.pi[path[i]]) / rows[i, path[i - 1]]
             for i in range(1, len(path))
         ]
         formula = 1.0 / sum(terms)

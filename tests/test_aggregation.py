@@ -388,8 +388,7 @@ def test_semi_markov_mixture_with_two_entry_states():
     law = semi_markov_kernel(model, ms, 3, 4, 3)
     # the single exit state makes the conditioning trivial: the mean is the
     # entry-weighted average of plain exit times
-    w4 = model.P[3, 4]
-    w5 = model.P[3, 5]
+    w4, w5 = model.dense_rows([3])[0, [4, 5]]
     expect = (w4 * expected_hitting_time(model, 4, {3})
               + w5 * expected_hitting_time(model, 5, {3})) / (w4 + w5)
     assert law.mean == pytest.approx(expect, rel=1e-10)

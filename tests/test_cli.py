@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,19 @@ def test_analyze_l14_reconstruction(tmp_path):
     valleys = json.loads((out / "valleys.json").read_text())
     assert valleys["1"]["nonassigned"] == [3, 5, 7, 9, 11, 13]
     assert valleys["6"]["nonassigned"] == [11]
+
+
+@pytest.mark.parametrize("command", [["aggregate"], ["simulate", "--steps", "10"]])
+def test_huge_beta_is_refused_in_one_error_line(tmp_path, capsys, command):
+    # beta * dE overflows to -inf on purpose, so no warning comes before the
+    # refusal that names the lost move
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(command + ["--canonical", "L6", "--beta", "1e308", "--out", str(tmp_path)])
+    assert (code, caught) == (2, [])
+    err = capsys.readouterr().err
+    assert err.startswith("error: at beta 1e+308 the kernel entry p(0, 1) underflows")
+    assert err.count("\n") == 1
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -65,7 +65,7 @@ def test_run_metropolis_on_a_single_state():
 def test_one_step_frequencies_from_state_3(L6):
     model = build_metropolis(L6.l, 2.0)
     rng = np.random.default_rng(123)
-    cums = np.cumsum(model.P[3])
+    cums = np.cumsum(model.dense_rows([3])[0])
     draws = np.searchsorted(cums, rng.random(100_000), side="right")
     for target in (2, 3, 4):
         freq = np.mean(draws == target)
@@ -87,7 +87,7 @@ def test_trajectory_row_frequencies(L6):
 def dense_cumsum_oracle(model, start, steps, seed):
     """Lazy sampling by ``searchsorted`` on the whole cumulative kernel, one
     bulk draw of uniforms; ``run_metropolis`` must reproduce it bit for bit."""
-    cums = np.cumsum(model.P, axis=1)
+    cums = np.cumsum(model.dense_rows(range(model.n)), axis=1)
     states = [start]
     for u in np.random.default_rng(seed).random(steps):
         states.append(int(np.searchsorted(cums[states[-1]], u, side="right")))
@@ -121,7 +121,7 @@ def test_lazy_step_at_the_unpinned_row_end_lands_in_the_row(L14X):
     to, p = model.row(4)
     end = float(np.cumsum(p)[-1])
     assert end < 1.0
-    assert np.searchsorted(np.cumsum(model.P[4]), end, side="right") == model.n
+    assert np.searchsorted(np.cumsum(model.dense_rows([4])[0]), end, side="right") == model.n
     walker = JumpWalker(model).stream(ConstantStream(end))
     assert walker.lazy_walk(4, 1) == [4, int(to[-1])]
 
@@ -228,8 +228,9 @@ def test_holding_time_where_the_stay_probability_rounds_to_one():
     # so p(0, 0) is exactly 1.0; the holding time is drawn from the exit mass
     l = Landscape(np.array([0.0, 40.0, 0.5]), ((1,), (0, 2), (1,)))
     model = build_metropolis(l, 1.0)
-    exit_mass = model.P[0, 1]
-    assert model.P[0, 0] == 1.0 and 0.0 < exit_mass < 1e-17
+    p0 = model.dense_rows([0])[0]
+    exit_mass = p0[1]
+    assert p0[0] == 1.0 and 0.0 < exit_mass < 1e-17
     walker = JumpWalker(model)
     u = np.random.default_rng(3).random()
     held = walker.stream(np.random.default_rng(3)).holding(0)
@@ -238,7 +239,7 @@ def test_holding_time_where_the_stay_probability_rounds_to_one():
     assert walker.stream(np.random.default_rng(3)).step(0) == 1
     # states with p(r, r) < 1 keep the log(p) draw
     u = np.random.default_rng(4).random()
-    p = model.P[1, 1]
+    p = model.dense_rows([1])[0, 1]
     assert 0.0 < p < 1.0
     assert walker.stream(np.random.default_rng(4)).holding(1) == 1.0 + math.floor(
         math.log(u) / math.log(p))
@@ -758,7 +759,8 @@ def test_power_of_two_scaling_leaves_the_sampler_unchanged(L6, L14X, tmp_path):
         label = [s % 3 for s in range(l.n)]
         for beta in (0.5, 2.0, 5.0):
             model, model4 = build_metropolis(l, beta), build_metropolis(big, beta / 4)
-            assert model4.P.tobytes() == model.P.tobytes()
+            states = range(model.n)
+            assert model4.dense_rows(states).tobytes() == model.dense_rows(states).tobytes()
             assert model4.n == model.n
             for r in range(model.n):
                 (to, p), (to4, p4) = model.row(r), model4.row(r)

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import metabasins
+from metabasins.chain import TransitionModel
 from metabasins.saddles import SaddleTable
 
 SOURCES = sorted(Path(metabasins.__file__).parent.glob("*.py"))
@@ -61,10 +62,23 @@ def test_kernel_and_step_tables_built_by_whole_array_passes():
 
 
 def test_off_diagonal_sums_read_from_the_row_table():
-    # the kernel keeps each row's exit mass; only the absorbing solve sums a
-    # block of P without its diagonal
-    assert callers("off_diagonal_row_sums") == ["chain._absorbing_solve"]
-    assert len(calls("off_diagonal_row_sums")) == 1
+    # the kernel keeps each row's exit mass in its row table; a solve's
+    # diagonal, the off-diagonal mass of the rows it is given, is formed in
+    # chain._absorbing_solve alone. The restricted chain writes the other
+    # kernel diagonal, its own; aggregation's fill the exponent matrices
+    assert calls("off_diagonal_row_sums") == []
+    assert len(calls("fill_diagonal")) == len(callers("fill_diagonal"))
+    assert sorted(c for c in callers("fill_diagonal") if not c.startswith("aggregation.")) == [
+        "chain._absorbing_solve", "chain.restricted_hitting_probability",
+        "chain.restricted_hitting_probability"]
+
+
+def test_kernel_held_once():
+    # the Metropolis kernel is held once, as its row table; dense rows are
+    # built by TransitionModel.dense_rows for the states a reader solves on
+    assert [f.name for f in dataclasses.fields(TransitionModel)] == [
+        "landscape", "beta", "degree_plus", "gamma_beta", "pi", "indptr", "to", "p", "exit"]
+    assert [where for where, node in nodes(ast.Attribute) if node.attr == "P"] == []
 
 
 def test_one_scalar_step_loop():
